@@ -198,10 +198,13 @@ def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
     """True iff ``matching`` is a matching of ``g`` and the subgraph induced
     on its endpoints contains no edge beyond the matching itself.
 
-    Raises ``ValueError`` when a listed edge is absent from ``g``.
+    Raises ``ValueError`` when a listed endpoint lies outside ``[0, n)`` or
+    a listed edge is absent from ``g``.
     """
     edges = canonical_matching(matching)
     for u, v in edges:
+        if u < 0 or v >= g.n:  # canonical: u < v
+            raise ValueError(f"matching edge ({u}, {v}) out of range for n={g.n}")
         if not g.has_edge(u, v):
             raise ValueError(f"matching edge ({u}, {v}) not present in graph")
     if not is_matching(edges):

@@ -20,7 +20,6 @@ from .graph import (
     degree_profile,
     from_edge_list,
     is_matching,
-    matched_vertices,
     ordered_edge,
 )
 
@@ -220,7 +219,3 @@ def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:
     """Map an independent set of the quotient back to host edges; the result
     is an induced matching of the host."""
     return tuple(sorted(contracted.rep[x] for x in set(vertices)))
-
-
-def host_vertices(contracted: ContractedGraph) -> frozenset[int]:
-    return matched_vertices(contracted.rep)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     Matching,
+    Triangle,
     degree_profile,
     enumerate_triangles,
     is_induced_matching,
@@ -108,17 +109,27 @@ class InducedMatchingResult:
 @dataclass(frozen=True)
 class PreparedPipeline:
     """Deterministic prefix of a run: coloring, matching, contraction, and
-    the triangle budget check, all independent of the seed."""
+    the triangle budget check, all independent of the seed.
+
+    ``triangles`` is the sorted triangle list of the contraction, enumerated
+    once here and handed to every seeded run, so a sweep over seeds pays for
+    the enumeration once.
+    """
 
     graph: Graph
     config: PipelineConfig
     matching: Matching
     contracted: ContractedGraph
     epsilon: float
+    max_degree: int  # of the host graph
     contracted_max_degree: int
-    contracted_triangles: int
+    triangles: tuple[Triangle, ...]
     budget: float
     matching_below_quarter: bool
+
+    @property
+    def contracted_triangles(self) -> int:
+        return len(self.triangles)
 
 
 def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
@@ -132,18 +143,19 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
     contracted = contract_matching(graph, matching)
     epsilon = config.effective_epsilon()
     _, d_contracted, _ = degree_profile(contracted.graph)
-    triangles = len(enumerate_triangles(contracted.graph))
+    triangles = tuple(enumerate_triangles(contracted.graph))
     budget = triangle_budget(contracted.graph.n, d_contracted, epsilon)
-    if triangles > budget:
-        raise TriangleBudgetExceeded(triangles, budget)
+    if len(triangles) > budget:
+        raise TriangleBudgetExceeded(len(triangles), budget)
     return PreparedPipeline(
         graph=graph,
         config=config,
         matching=matching,
         contracted=contracted,
         epsilon=epsilon,
+        max_degree=dmax,
         contracted_max_degree=d_contracted,
-        contracted_triangles=triangles,
+        triangles=triangles,
         budget=budget,
         matching_below_quarter=len(matching) < math.ceil(graph.n / 4),
     )
@@ -185,7 +197,9 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     )
     fallback_used = False
     try:
-        found = sparsify_independent_set(prep.contracted.graph, params, seed)
+        found = sparsify_independent_set(
+            prep.contracted.graph, params, seed, triangles=prep.triangles
+        )
         matching = pull_back_matching(prep.contracted, found.vertices)
         attempts = found.attempts
         bypassed = found.bypassed
@@ -198,7 +212,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         fallback_used = True
 
     certificate = is_induced_matching(prep.graph, matching) if config.verify else None
-    _, dmax, _ = degree_profile(prep.graph)
+    dmax = prep.max_degree
     ratio = None
     if dmax >= 2:
         ratio = len(matching) / ((prep.graph.n / dmax) * math.log(dmax))

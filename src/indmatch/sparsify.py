@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
+    Triangle,
     VertexSet,
     degree_profile,
     enumerate_triangles,
@@ -138,18 +139,23 @@ def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
     return frozenset(v for v in range(g.n) if rng.random() < p)
 
 
-def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
+def break_triangles(
+    g: Graph, triangles: Sequence[Triangle] | None = None
+) -> tuple[Graph, VertexSet, dict[int, int]]:
     """Delete one vertex from every triangle; returns the triangle-free
     remainder, the removed vertices, and the old-to-new map for survivors.
 
     The canonical triangle list is processed once; from each still-alive
     triangle the endpoint of highest current degree goes (lowest id on
-    ties), which empirically preserves the most vertices.
+    ties), which empirically preserves the most vertices. A caller that
+    already holds ``enumerate_triangles(g)`` passes it as ``triangles``.
     """
+    if triangles is None:
+        triangles = enumerate_triangles(g)
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
     removed = []
-    for a, b, c in enumerate_triangles(g):
+    for a, b, c in triangles:
         if alive[a] and alive[b] and alive[c]:
             victim = min((-deg[v], v) for v in (a, b, c))[1]
             alive[victim] = False
@@ -213,13 +219,21 @@ def _compose(outer: dict[int, int], chosen: Iterable[int]) -> set[int]:
 
 
 def sparsify_independent_set(
-    g: Graph, params: SparsifyParams, seed: int = 0
+    g: Graph,
+    params: SparsifyParams,
+    seed: int = 0,
+    *,
+    triangles: Sequence[Triangle] | None = None,
 ) -> IndependentSetResult:
     """Find an independent set of ``g`` under a triangle budget.
 
     Preconditions: ``params.d`` is at least the max degree of ``g`` (the
     pipeline passes the exact degree) and the triangle count is at most
     ``n * params.d**(2 - epsilon)``, else :class:`TriangleBudgetExceeded`.
+    ``triangles``, when given, must equal ``enumerate_triangles(g)``; it is
+    trusted, not rechecked. The pipeline passes the list it enumerated once
+    per prepared graph, so a sweep over seeds does not enumerate again; when
+    omitted, the triangles are enumerated here.
 
     When the max degree is at most ``params.degree_cutoff`` the sampling
     stage is skipped: triangles are broken directly and the greedy pass runs
@@ -234,13 +248,14 @@ def sparsify_independent_set(
         raise ValueError(
             f"params built for max degree {params.d} but graph has {dmax}"
         )
+    if triangles is None:
+        triangles = enumerate_triangles(g)
     budget = g.n * float(params.d) ** (2 - params.epsilon)
-    measured = len(enumerate_triangles(g))
-    if measured > budget:
-        raise TriangleBudgetExceeded(measured, budget)
+    if len(triangles) > budget:
+        raise TriangleBudgetExceeded(len(triangles), budget)
 
     if dmax <= params.degree_cutoff:
-        remainder, _, mapping = break_triangles(g)
+        remainder, _, mapping = break_triangles(g, triangles)
         chosen = triangle_free_independent_set(remainder)
         avg = 2 * remainder.m / remainder.n if remainder.n else 0.0
         return IndependentSetResult(
@@ -257,12 +272,12 @@ def sparsify_independent_set(
         rng = random.Random(mix64(seed, index))
         sampled = sample_vertices(g, params.p, rng)
         subgraph, sub_map = induced_subgraph(g, sampled)
-        surviving_triangles = len(enumerate_triangles(subgraph))
-        remainder, _, break_map = break_triangles(subgraph)
+        sub_triangles = enumerate_triangles(subgraph)
+        remainder, _, break_map = break_triangles(subgraph, sub_triangles)
 
         if not thresholds.v_lo <= len(sampled) <= thresholds.v_hi:
             outcome = "vertex-count"
-        elif surviving_triangles > thresholds.tri_max:
+        elif len(sub_triangles) > thresholds.tri_max:
             outcome = "triangles"
         elif remainder.m > thresholds.edge_max:
             outcome = "edges"
@@ -271,7 +286,7 @@ def sparsify_independent_set(
         stats = AttemptStats(
             index=index,
             sampled=len(sampled),
-            triangles=surviving_triangles,
+            triangles=len(sub_triangles),
             edges=remainder.m,
             outcome=outcome,
         )

@@ -114,6 +114,16 @@ def test_verify_examples(c6_file, tmp_path):
     assert code == 1
     assert "not present" in err
 
+    # -1 would alias vertex 5 under Python indexing; 99 would index past the end
+    for text in ("-1 0\n", "99 100\n"):
+        out_of_range = tmp_path / "out_of_range.txt"
+        out_of_range.write_text(text)
+        code, out, err = run_cli("verify", c6_file, str(out_of_range))
+        assert code == 1, text
+        assert out == ""
+        assert err.startswith("invalid certificate:") and "out of range" in err
+        assert "Traceback" not in err
+
 
 def test_experiment_rows_and_summary(tmp_path):
     out_file = tmp_path / "sweep.csv"

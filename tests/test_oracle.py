@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indmatch import is_induced_matching, is_independent_set, named_fixture
 from indmatch.oracle import (
@@ -90,3 +91,30 @@ def test_fast_and_exhaustive_induced_checks_agree(g):
             fast = None
         if fast is not None:
             assert fast == is_induced_matching_bf(g, pair)
+
+
+def _verdict(check, g, matching):
+    try:
+        return check(g, matching)
+    except ValueError:
+        return "rejected"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["cycle-6", "petersen", "complete-4", "path-3", "edgeless-2"]),
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-12, 12), st.integers()),
+            st.one_of(st.integers(-12, 12), st.integers()),
+        ),
+        max_size=4,
+    ),
+)
+@example("cycle-6", [(-1, 0)])
+@example("cycle-6", [(99, 100)])
+def test_fast_and_exhaustive_induced_checks_agree_on_any_ids(name, matching):
+    g = named_fixture(name)
+    assert _verdict(is_induced_matching, g, matching) == _verdict(
+        is_induced_matching_bf, g, matching
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,10 +13,12 @@ from indmatch import (
     named_fixture,
     prepare_pipeline,
     projective_incidence_graph,
+    random_regular,
     run_prepared,
     triangle_budget,
     verify_certificate,
 )
+from indmatch import pipeline, sparsify
 from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
@@ -158,3 +161,49 @@ def test_irregular_input_flagged_but_sound():
     assert result.certificate is True
     assert result.size == 1
     assert result.stats.matching_below_quarter
+
+
+def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
+    sizes = []  # vertex count of every graph whose triangles are enumerated
+    for module in (pipeline, sparsify):
+        original = module.enumerate_triangles
+
+        def counting(g, *args, _original=original, **kwargs):
+            sizes.append(g.n)
+            return _original(g, *args, **kwargs)
+
+        monkeypatch.setattr(module, "enumerate_triangles", counting)
+    prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
+    quotient_n = prep.contracted.graph.n
+    assert sizes == [quotient_n]  # once, in the deterministic stage
+    assert prep.contracted_triangles == len(prep.triangles) > 0
+    sizes.clear()
+    for seed in range(5):
+        assert not run_prepared(prep, seed).stats.bypassed  # sampled path
+    assert sizes  # each attempt still enumerates its sample
+    assert quotient_n not in sizes
+
+
+def _certificates_digest(results) -> str:
+    h = hashlib.sha256()
+    for seed, result in results:
+        h.update(f"seed {seed}\n".encode())
+        h.update("".join(f"{u} {v}\n" for u, v in result.matching).encode())
+    return h.hexdigest()
+
+
+def test_frozen_certificates():
+    # Pinned outputs of fixed (graph, config, seed): the sampled path on
+    # projective q=13 and the bypass path on a random-regular graph.
+    prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
+    sampled = [(seed, run_prepared(prep, seed)) for seed in range(50)]
+    assert not any(r.stats.bypassed for _, r in sampled)
+    assert _certificates_digest(sampled) == (
+        "6f20218a9c34ff980fb24c4fa2c97cdb76e212cca7874da1ecbd5bd8e1242c44"
+    )
+    prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
+    bypass = run_prepared(prep, 0)
+    assert bypass.stats.bypassed
+    assert _certificates_digest([(0, bypass)]) == (
+        "8017a41a20cca4bf2dde424ef0aef8951cf9524c558fff3598d3dabbd4e68d1e"
+    )
