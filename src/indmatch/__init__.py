@@ -35,7 +35,6 @@ from .matching import (
     EdgeColoring,
     contract_matching,
     extract_matching,
-    greedy_maximal_matching,
     is_proper_edge_coloring,
     misra_gries_edge_color,
     pull_back_matching,
@@ -50,9 +49,9 @@ from .sparsify import (
     sample_vertices,
     sparsify_independent_set,
     sparsify_params,
+    triangle_budget,
     triangle_free_independent_set,
 )
-from .fourwise import BinaryField, FourWiseSampler, fourwise_sample, inclusion_statistics
 from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
@@ -62,7 +61,6 @@ from .pipeline import (
     induced_matching,
     prepare_pipeline,
     run_prepared,
-    triangle_budget,
     verify_certificate,
 )
 from .seeds import mix64
@@ -95,7 +93,6 @@ __all__ = [
     "misra_gries_edge_color",
     "is_proper_edge_coloring",
     "extract_matching",
-    "greedy_maximal_matching",
     "contract_matching",
     "pull_back_matching",
     "SparsifyParams",
@@ -108,10 +105,6 @@ __all__ = [
     "AttemptStats",
     "RetriesExhausted",
     "TriangleBudgetExceeded",
-    "BinaryField",
-    "FourWiseSampler",
-    "fourwise_sample",
-    "inclusion_statistics",
     "PipelineConfig",
     "PipelineStats",
     "InducedMatchingResult",

@@ -45,6 +45,16 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
+    @cached_property
+    def degree_profile(self) -> tuple[int, int, bool]:
+        """``(min_degree, max_degree, is_regular)``; ``(0, 0, True)`` for
+        the empty graph."""
+        if self.n == 0:
+            return (0, 0, True)
+        degs = [len(nbrs) for nbrs in self.adjacency]
+        lo, hi = min(degs), max(degs)
+        return (lo, hi, lo == hi)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -109,12 +119,8 @@ def validate_graph(g: Graph) -> None:
 
 def degree_profile(g: Graph) -> tuple[int, int, bool]:
     """Return ``(min_degree, max_degree, is_regular)``; ``(0, 0, True)`` for
-    the empty graph."""
-    if g.n == 0:
-        return (0, 0, True)
-    degs = [len(nbrs) for nbrs in g.adjacency]
-    lo, hi = min(degs), max(degs)
-    return (lo, hi, lo == hi)
+    the empty graph. Computed once per graph and cached on it."""
+    return g.degree_profile
 
 
 def enumerate_triangles(g: Graph) -> list[Triangle]:

@@ -9,7 +9,6 @@ induced matchings of the host.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graph import (
@@ -160,21 +159,6 @@ def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:
     classes = coloring.classes()
     best = max(range(len(classes)), key=lambda c: (len(classes[c]), -c))
     return tuple(sorted(classes[best]))
-
-
-def greedy_maximal_matching(g: Graph, seed: int) -> Matching:
-    """Maximal matching from a seeded random edge order (no size guarantee
-    on irregular inputs; fast fallback only)."""
-    edges = sorted(g.edges())
-    random.Random(seed).shuffle(edges)
-    used: set[int] = set()
-    chosen = []
-    for u, v in edges:
-        if u not in used and v not in used:
-            chosen.append((u, v))
-            used.add(u)
-            used.add(v)
-    return tuple(sorted(chosen))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,10 @@ from .sparsify import (
     DEFAULT_MAX_RETRIES,
     RetriesExhausted,
     TriangleBudgetExceeded,
+    check_run_limits,
     sparsify_independent_set,
     sparsify_params,
+    triangle_budget,
 )
 
 # Calibrated floor for size / ((n/d) * ln d) on regular, budget-respecting
@@ -69,19 +71,10 @@ class PipelineConfig:
             raise ValueError(f"B must be >= 2, got {self.B}")
         if self.epsilon is not None and not 0 < self.epsilon < 3:
             raise ValueError(f"epsilon must be in (0, 3), got {self.epsilon}")
+        check_run_limits(self.degree_cutoff, self.max_retries)
 
     def effective_epsilon(self) -> float:
         return self.epsilon if self.epsilon is not None else 1 / (2 * self.B)
-
-
-def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> float:
-    """Largest triangle count the sparsification stage tolerates:
-    ``n * d**(2 - epsilon)``."""
-    if n_contracted < 0 or d_contracted < 0:
-        raise ValueError("sizes must be nonnegative")
-    if not 0 < epsilon < 3:
-        raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
-    return n_contracted * float(d_contracted) ** (2 - epsilon)
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,6 @@ class PreparedPipeline:
     matching: Matching
     contracted: ContractedGraph
     epsilon: float
-    max_degree: int  # of the host graph
     contracted_max_degree: int
     triangles: tuple[Triangle, ...]
     budget: float
@@ -153,7 +145,6 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         matching=matching,
         contracted=contracted,
         epsilon=epsilon,
-        max_degree=dmax,
         contracted_max_degree=d_contracted,
         triangles=triangles,
         budget=budget,
@@ -163,28 +154,25 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
 
 def greedy_induced_matching(graph: Graph) -> Matching:
     """Deterministic fallback: repeatedly take the lowest remaining edge and
-    delete both endpoints' closed neighborhoods."""
+    delete both endpoints' closed neighborhoods.
+
+    One forward pass suffices: a vertex with no remaining higher neighbor
+    never regains one, so the scan never has to restart.
+    """
     alive = [True] * graph.n
     chosen: list[tuple[int, int]] = []
-    while True:
-        edge = None
-        for u in range(graph.n):
-            if not alive[u]:
-                continue
-            for v in graph.adjacency[u]:
-                if v > u and alive[v]:
-                    edge = (u, v)
-                    break
-            if edge:
-                break
-        if edge is None:
-            return tuple(chosen)
-        u, v = edge
-        chosen.append(edge)
+    for u in range(graph.n):
+        if not alive[u]:
+            continue
+        v = next((v for v in graph.adjacency[u] if v > u and alive[v]), None)
+        if v is None:
+            continue
+        chosen.append((u, v))
         for x in (u, v):
             alive[x] = False
             for w in graph.adjacency[x]:
                 alive[w] = False
+    return tuple(chosen)
 
 
 def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
@@ -212,7 +200,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         fallback_used = True
 
     certificate = is_induced_matching(prep.graph, matching) if config.verify else None
-    dmax = prep.max_degree
+    _, dmax, _ = degree_profile(prep.graph)
     ratio = None
     if dmax >= 2:
         ratio = len(matching) / ((prep.graph.n / dmax) * math.log(dmax))

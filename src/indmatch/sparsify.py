@@ -68,6 +68,16 @@ class RetriesExhausted(RuntimeError):
         self.attempts = attempts
 
 
+def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> float:
+    """Largest triangle count the sparsification stage tolerates:
+    ``n * d**(2 - epsilon)``."""
+    if n_contracted < 0 or d_contracted < 0:
+        raise ValueError("sizes must be nonnegative")
+    if not 0 < epsilon < 3:
+        raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
+    return n_contracted * float(d_contracted) ** (2 - epsilon)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     v_lo: float  # n*p/2
@@ -117,15 +127,26 @@ def sparsify_params(
         raise ValueError(f"max degree must be >= 1, got {d}")
     if not 0 < epsilon < 3:
         raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
+    degree_cutoff = DEFAULT_DEGREE_CUTOFF if degree_cutoff is None else degree_cutoff
+    max_retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
+    check_run_limits(degree_cutoff, max_retries)
     a = epsilon / 3
     return SparsifyParams(
         d=d,
         epsilon=epsilon,
         a=a,
         p=float(d) ** (a - 1),
-        degree_cutoff=DEFAULT_DEGREE_CUTOFF if degree_cutoff is None else degree_cutoff,
-        max_retries=DEFAULT_MAX_RETRIES if max_retries is None else max_retries,
+        degree_cutoff=degree_cutoff,
+        max_retries=max_retries,
     )
+
+
+def check_run_limits(degree_cutoff: int, max_retries: int) -> None:
+    """Reject a negative degree cutoff and fewer than one sampling attempt."""
+    if degree_cutoff < 0:
+        raise ValueError(f"degree cutoff must be >= 0, got {degree_cutoff}")
+    if max_retries < 1:
+        raise ValueError(f"max retries must be >= 1, got {max_retries}")
 
 
 def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
@@ -250,7 +271,7 @@ def sparsify_independent_set(
         )
     if triangles is None:
         triangles = enumerate_triangles(g)
-    budget = g.n * float(params.d) ** (2 - params.epsilon)
+    budget = triangle_budget(g.n, params.d, params.epsilon)
     if len(triangles) > budget:
         raise TriangleBudgetExceeded(len(triangles), budget)
 

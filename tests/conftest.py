@@ -1,10 +1,31 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
 from indmatch import from_edge_list, named_fixture
 from indmatch.seeds import mix64
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env():
+    """The caller's environment, with this checkout's ``src`` first on PYTHONPATH.
+
+    Children may run in a temporary directory, so relative PYTHONPATH entries
+    (such as the ``src`` of the Tier-1 command) are made absolute.
+    """
+    env = os.environ.copy()
+    inherited = [
+        os.path.abspath(entry)
+        for entry in env.get("PYTHONPATH", "").split(os.pathsep)
+        if entry
+    ]
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC_DIR), *inherited])
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -5,15 +5,12 @@ here; the randomized checks use frozen seeds so the suite is deterministic.
 """
 
 import math
-import os
 import random
 import statistics
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from indmatch import (
@@ -36,7 +33,6 @@ from indmatch import (
     verify_certificate,
     write_edge_list,
 )
-from indmatch.fourwise import inclusion_statistics
 from indmatch.oracle import (
     count_triangles_bf,
     is_induced_matching_bf,
@@ -45,6 +41,8 @@ from indmatch.oracle import (
 from indmatch.pipeline import EmptyMatchingError
 from indmatch.seeds import mix64
 from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
+
+from conftest import subprocess_env
 
 FIXTURES = [
     "petersen",
@@ -265,31 +263,12 @@ def test_criterion_7_triangle_budget():
     print(f"\nACCEPTANCE 7 (triangle budget): PASS - " + " ".join(rows))
 
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
-
-def _cli_env():
-    """The caller's environment, with this checkout's ``src`` first on PYTHONPATH.
-
-    The child runs in a temporary directory, so relative PYTHONPATH entries
-    (such as the ``src`` of the Tier-1 command) are made absolute.
-    """
-    env = os.environ.copy()
-    inherited = [
-        os.path.abspath(entry)
-        for entry in env.get("PYTHONPATH", "").split(os.pathsep)
-        if entry
-    ]
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC_DIR), *inherited])
-    return env
-
-
 def _cli(args, cwd):
     proc = subprocess.run(
         [sys.executable, "-m", "indmatch", *args],
         capture_output=True,
         cwd=cwd,
-        env=_cli_env(),
+        env=subprocess_env(),
         check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -350,25 +329,3 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert file_a == file_b, f"files differ for {first}"
     print(f"\nACCEPTANCE 8 (CLI determinism): PASS - {len(invocations)} command pairs")
 
-
-def test_criterion_9_fourwise_sampler():
-    start = time.monotonic()
-    n, bits, p, tuples = 16, 8, 0.25, 1_200_000
-    per_vertex, pairwise = inclusion_statistics(n, bits, p, tuples, seed=4242)
-    target = math.floor(p * 2**bits) / 2**bits
-    assert target == 0.25
-    vertex_dev = float(np.max(np.abs(per_vertex - target))) / target
-    assert vertex_dev <= 0.01, f"per-vertex deviation {vertex_dev:.4f} > 1%"
-    pair_target = target * target
-    pair_dev = max(
-        abs(pairwise[u, v] - pair_target) / pair_target
-        for u in range(n)
-        for v in range(u + 1, n)
-    )
-    assert pair_dev <= 0.02, f"pairwise deviation {pair_dev:.4f} > 2%"
-    elapsed = time.monotonic() - start
-    assert elapsed < 60, f"sampler statistics too slow: {elapsed:.1f}s"
-    print(
-        f"\nACCEPTANCE 9 (4-wise sampler): PASS - per-vertex dev "
-        f"{vertex_dev:.4f}, pairwise dev {pair_dev:.4f}, {elapsed:.1f}s"
-    )

@@ -47,16 +47,6 @@ def test_generate_fixture(tmp_path):
     assert out_file.read_text().splitlines()[0] == "10 15"
 
 
-def test_generate_parity_error(tmp_path):
-    code, _, err = run_cli(
-        "generate",
-        "--family", "random-regular", "--n", "5", "--d", "3",
-        "--out", str(tmp_path / "x.txt"),
-    )
-    assert code == 2
-    assert "even" in err
-
-
 def test_run_k2(k2_file):
     code, out, _ = run_cli("run", k2_file)
     lines = out.splitlines()
@@ -160,14 +150,6 @@ def test_experiment_floor_verdict():
     assert "verdict=FAIL" in out
 
 
-def test_experiment_trials_validation():
-    code, _, err = run_cli(
-        "experiment", "--family", "projective", "--q", "3", "--trials", "0"
-    )
-    assert code == 2
-    assert "trials" in err
-
-
 def test_experiment_random_regular():
     code, out, _ = run_cli(
         "experiment",
@@ -209,11 +191,6 @@ def test_oracle_limit_flag(tmp_path):
     assert code == 0 and out.splitlines()[0] == "size=15"
 
 
-def test_run_missing_file():
-    code, _, err = run_cli("run", "/nonexistent/graph.txt")
-    assert code == 2
-
-
 def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
     path = tmp_path / "c25.txt"
     write_edge_list(named_fixture("cycle-25"), path)
@@ -225,3 +202,102 @@ def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
     lines = err.splitlines()
     assert "attempt,sampled,triangles,edges,outcome" in lines
     assert any(line.startswith("0,") for line in lines)
+
+
+# Edge-list files that every graph-reading subcommand must reject as usage
+# errors (exit 2), each with the substring its message must contain.
+BAD_GRAPHS = {
+    "non-utf8": (b"3 1\n0 \xff\n", "utf-8"),
+    "bad-header": (b"3 x\n0 1\n", "line 1: expected header"),
+    "too-many-edges": (b"3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
+    "too-few-edges": (b"3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    "self-loop": (b"3 1\n1 1\n", "self-loop"),
+    "out-of-range": (b"3 1\n0 7\n", "out of range"),
+    "missing-file": (None, "absent.txt"),
+}
+
+CERTIFICATES = {"cert": "0 1\n3 4\n", "three": "0 1\n3 4 5\n", "negative": "0 1\n-2 3\n"}
+
+GRAPH_READERS = {
+    "run": lambda graph: ["run", graph],
+    "verify": lambda graph: ["verify", graph, "{cert}"],
+    "oracle": lambda graph: ["oracle", "--op", "count-triangles", graph],
+}
+
+# (argv, exit code, prefix of the last stderr line, substring of stderr).
+# {c6} is a valid cycle-6 edge list, {nodir} a path whose directory does
+# not exist, and {<name>} the file of BAD_GRAPHS[name] or CERTIFICATES[name].
+MALFORMED = {
+    **{
+        f"{cmd}-{name}": (argv("{" + name + "}"), 2, "error:", needle)
+        for cmd, argv in GRAPH_READERS.items()
+        for name, (_, needle) in BAD_GRAPHS.items()
+    },
+    "verify-three-tokens": (["verify", "{c6}", "{three}"], 2, "line 2:", "two integers"),
+    "verify-negative-id": (
+        ["verify", "{c6}", "{negative}"], 1, "invalid certificate:", "out of range"
+    ),
+    "run-B-1": (["run", "{c6}", "--B", "1"], 2, "error:", "B must be >= 2"),
+    "run-epsilon-nan": (["run", "{c6}", "--epsilon", "nan"], 2, "error:", "epsilon"),
+    "run-max-retries-negative": (
+        ["run", "{c6}", "--max-retries", "-3", "--d0", "0"], 2, "error:", "max retries"
+    ),
+    "run-d0-negative": (["run", "{c6}", "--d0", "-5"], 2, "error:", "degree cutoff"),
+    "run-unwritable-out": (["run", "{c6}", "--out", "{nodir}"], 2, "error:", "no-such-dir"),
+    "experiment-bad-q": (
+        ["experiment", "--family", "projective", "--q", "3,x", "--trials", "1"],
+        2, "error:", "'x'",
+    ),
+    "experiment-zero-trials": (
+        ["experiment", "--family", "projective", "--q", "3", "--trials", "0"],
+        2, "error:", "trials",
+    ),
+    "generate-missing-q": (
+        ["generate", "--family", "projective", "--out", "{out}"], 2, "error:", "requires q"
+    ),
+    "generate-non-prime-q": (
+        ["generate", "--family", "projective", "--q", "4", "--out", "{out}"],
+        2, "error:", "prime",
+    ),
+    "generate-odd-degree-sum": (
+        ["generate", "--family", "random-regular", "--n", "5", "--d", "3", "--out", "{out}"],
+        2, "error:", "even",
+    ),
+    "generate-unknown-fixture": (
+        ["generate", "--family", "fixture", "--name", "bogus", "--out", "{out}"],
+        2, "error:", "bogus",
+    ),
+    "generate-unwritable-out": (
+        ["generate", "--family", "fixture", "--name", "petersen", "--out", "{nodir}"],
+        2, "error:", "no-such-dir",
+    ),
+    "oracle-negative-limit": (
+        ["oracle", "--op", "count-triangles", "--limit", "-1", "{c6}"],
+        2, "error:", "limit",
+    ),
+    "oracle-B-0": (
+        ["oracle", "--op", "contains-kbb", "--B", "0", "{c6}"], 2, "error:", "b must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_reported_not_raised(case, c6_file, tmp_path):
+    argv, expected_code, prefix, needle = MALFORMED[case]
+    paths = {
+        "c6": c6_file,
+        "out": tmp_path / "out.txt",
+        "nodir": tmp_path / "no-such-dir" / "out.txt",
+    }
+    for name, text in CERTIFICATES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    for name, (data, _) in BAD_GRAPHS.items():
+        paths[name] = tmp_path / ("absent.txt" if data is None else f"{name}.txt")
+        if data is not None:
+            paths[name].write_bytes(data)
+    code, _, err = run_cli(*(arg.format(**paths) for arg in argv))
+    assert code == expected_code, err
+    assert err.splitlines()[-1].startswith(prefix), err
+    assert needle in err, err
+    assert "Traceback" not in err

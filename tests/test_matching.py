@@ -9,7 +9,6 @@ from indmatch import (
     degree_profile,
     enumerate_triangles,
     extract_matching,
-    greedy_maximal_matching,
     is_induced_matching,
     is_proper_edge_coloring,
     is_independent_set,
@@ -85,24 +84,6 @@ def test_regular_matching_guarantee():
         assert len(matching) >= math.ceil(g.n / 4), name
 
 
-def test_greedy_maximal_matching():
-    p4 = named_fixture("path-4")
-    m = greedy_maximal_matching(p4, 0)
-    assert len(m) >= 1
-    k4 = named_fixture("complete-4")
-    assert len(greedy_maximal_matching(k4, 3)) == 2
-    assert greedy_maximal_matching(named_fixture("edgeless-3"), 5) == ()
-
-
-@settings(max_examples=80, deadline=None)
-@given(graphs(max_n=10))
-def test_greedy_matching_is_maximal(g):
-    matching = greedy_maximal_matching(g, 42)
-    used = {v for e in matching for v in e}
-    for u, v in g.edges():
-        assert u in used or v in used  # no extendable edge
-
-
 def test_contract_examples(c6):
     p4 = named_fixture("path-4")
     cg = contract_matching(p4, [(0, 1), (2, 3)])
@@ -138,7 +119,7 @@ def test_contract_degree_bound():
 def test_pull_back_property_exhaustive(g):
     # Every independent set of the contraction pulls back to an induced
     # matching of the host, checked against all subsets.
-    matching = greedy_maximal_matching(g, 7)
+    matching = extract_matching(g, misra_gries_edge_color(g))
     if not matching:
         return
     cg = contract_matching(g, matching)
@@ -153,15 +134,15 @@ def test_pull_back_property_exhaustive(g):
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=9, min_n=2))
 def test_contraction_correspondence_both_directions(g):
-    # Subsets of a maximal matching are induced matchings exactly when their
+    # Subsets of a matching are induced matchings exactly when their
     # contracted vertices form an independent set.
-    maximal = greedy_maximal_matching(g, 11)
-    if not maximal:
+    matching = extract_matching(g, misra_gries_edge_color(g))
+    if not matching:
         return
-    cg = contract_matching(g, maximal)
+    cg = contract_matching(g, matching)
     index_of = {e: i for i, e in enumerate(cg.rep)}
-    for r in range(len(maximal) + 1):
-        for subset in combinations(maximal, r):
+    for r in range(len(matching) + 1):
+        for subset in combinations(matching, r):
             indices = [index_of[e] for e in subset]
             assert is_induced_matching(g, subset) == is_independent_set(
                 cg.graph, indices

@@ -1,7 +1,10 @@
 import hashlib
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from indmatch import (
     EmptyMatchingError,
@@ -23,7 +26,7 @@ from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
 
-from conftest import regular_corpus
+from conftest import graphs, regular_corpus, subprocess_env
 
 
 def test_single_edge():
@@ -107,6 +110,10 @@ def test_config_validation():
         PipelineConfig(B=1)
     with pytest.raises(ValueError):
         PipelineConfig(epsilon=3.0)
+    for bad in ({"max_retries": 0}, {"max_retries": -3}, {"degree_cutoff": -1}):
+        with pytest.raises(ValueError):
+            PipelineConfig(**bad)
+    assert PipelineConfig(max_retries=1, degree_cutoff=0).max_retries == 1
     assert PipelineConfig(B=4).effective_epsilon() == pytest.approx(1 / 8)
     assert PipelineConfig(B=2, epsilon=1.0).effective_epsilon() == 1.0
 
@@ -129,6 +136,21 @@ def test_greedy_induced_matching_direct(petersen):
     assert is_induced_matching(petersen, m)
     assert len(m) >= 1
     assert greedy_induced_matching(named_fixture("edgeless-3")) == ()
+    # pinned output, computed with the restarting scan it replaced
+    pinned = greedy_induced_matching(random_regular(5000, 4, 1))
+    assert hashlib.sha256(
+        "".join(f"{u} {v}\n" for u, v in pinned).encode()
+    ).hexdigest() == "1d204b5e7933908aaf7f379d16c9c61d3a3c917ad4ba25ec5c5d33e0c76e40eb"
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=12))
+def test_greedy_induced_matching_is_maximal(g):
+    m = greedy_induced_matching(g)
+    assert is_induced_matching(g, m)
+    # maximal: every host edge touches the closed neighbourhood of a chosen endpoint
+    covered = {v for e in m for x in e for v in (x, *g.adjacency[x])}
+    assert all(u in covered or v in covered for u, v in g.edges())
 
 
 def test_staged_api_equivalent_to_combined():
@@ -207,3 +229,21 @@ def test_frozen_certificates():
     assert _certificates_digest([(0, bypass)]) == (
         "8017a41a20cca4bf2dde424ef0aef8951cf9524c558fff3598d3dabbd4e68d1e"
     )
+
+
+def test_package_runs_without_numpy():
+    # Poison the numpy import; the package must import and run without it.
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import indmatch\n"
+        "r = indmatch.induced_matching(indmatch.projective_incidence_graph(7))\n"
+        "assert r.certificate is True and r.size > 0, r\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]

@@ -50,6 +50,10 @@ def test_params_validation():
         sparsify_params(8, 0.0)
     with pytest.raises(ValueError):
         sparsify_params(0, 1.0)
+    for bad in ({"max_retries": 0}, {"max_retries": -3}, {"degree_cutoff": -1}):
+        with pytest.raises(ValueError):
+            sparsify_params(8, 1.0, **bad)
+    assert sparsify_params(8, 1.0, degree_cutoff=0, max_retries=1).max_retries == 1
 
 
 def test_sample_vertices_extremes(petersen):
