@@ -14,6 +14,7 @@ import argparse
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import generators, oracle
@@ -123,30 +124,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     prep = prepare_pipeline(graph, config)
     result = run_prepared(prep, config.seed)
     elapsed = time.monotonic() - start
-    lines = [f"{u} {v}" for u, v in result.matching]
-    for line in lines:
-        print(line)
+    edge_lines = "".join(f"{u} {v}\n" for u, v in result.matching)
+    # write the certificate before printing, so a failed write prints nothing
+    if args.out:
+        Path(args.out).write_text(edge_lines, encoding="utf-8")
     _, dmax, _ = degree_profile(graph)
     status = "ok" if result.certificate is not False else "invalid"
-    print(CSV_HEADER)
+    print(edge_lines + CSV_HEADER)
     print(_stats_row("file", "", graph.n, dmax, config.seed, result, status))
     print(f"# wall_seconds={elapsed:.3f}", file=sys.stderr)
-    if args.out:
-        Path(args.out).write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
     if config.verify and not result.certificate:
         return EXIT_INVALID
     return EXIT_OK
-
-
-def _experiment_graph(family: str, param: int, degree: int, master_seed: int):
-    if family == "projective":
-        return generators.projective_incidence_graph(param)
-    if family == "polarity":
-        return generators.polarity_graph(param)
-    if family == "random-regular":
-        graph_seed = mix64(master_seed, family, param, "graph")
-        return generators.random_regular(param, degree, graph_seed)
-    raise ValueError(f"unsupported experiment family {family!r}")
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -155,9 +144,23 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     params = [int(tok) for tok in args.q.split(",") if tok.strip()] if args.q else []
     if not params:
         raise ValueError("parameter list is empty; pass --q like 3,5,7")
-    degree = args.d if args.d is not None else 3
     config = _pipeline_config(args)
+    # open --out before the first trial, so an unwritable path fails before
+    # any pipeline work
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        rows, summaries = _sweep(args, params, config)
+        out.write("".join(f"{line}\n" for line in rows + summaries))
+    if args.out:
+        for line in summaries:
+            print(line)
+    return EXIT_OK
 
+
+def _sweep(
+    args: argparse.Namespace, params: list[int], config: PipelineConfig
+) -> tuple[list[str], list[str]]:
+    """CSV rows (header first) and summary lines of an experiment sweep."""
+    degree = args.d if args.d is not None else 3
     rows = [CSV_HEADER]
     summaries = []
     sweep_ratios: list[float] = []
@@ -165,7 +168,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         ratios = []
         ok = 0
         try:
-            graph = _experiment_graph(args.family, param, degree, args.seed)
+            graph_seed = mix64(args.seed, args.family, param, "graph")
+            spec = generators.GeneratorSpec(args.family, q=param, n=param, d=degree, seed=graph_seed)
+            graph = generators.build_graph(spec)
             prep = prepare_pipeline(graph, config)
             prep_error = None
         except (TriangleBudgetExceeded, ValueError, generators.GenerationError) as exc:
@@ -219,15 +224,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.floor is not None:
         passed = bool(sweep_ratios) and min(sweep_ratios) >= args.floor
         summaries.append(f"# floor={args.floor:.6f} verdict={'PASS' if passed else 'FAIL'}")
-
-    text = "".join(f"{line}\n" for line in rows + summaries)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        for line in summaries:
-            print(line)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return rows, summaries
 
 
 def _status_of(exc: Exception) -> str:

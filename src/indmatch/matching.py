@@ -9,6 +9,7 @@ induced matchings of the host.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import (
@@ -30,12 +31,6 @@ class EdgeColoring:
 
     colors: dict[Edge, int]
     num_colors: int
-
-    def classes(self) -> list[list[Edge]]:
-        buckets: list[list[Edge]] = [[] for _ in range(self.num_colors)]
-        for edge in sorted(self.colors):
-            buckets[self.colors[edge]].append(edge)
-        return buckets
 
 
 def is_proper_edge_coloring(g: Graph, coloring: EdgeColoring) -> bool:
@@ -63,50 +58,44 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
     free at the fan tip, flips the alternating c/d path through u, then
     rotates a fan prefix and colors its last edge d. All choices (fan
     extension, free colors, prefix) take the lowest-numbered admissible
-    color, then the lowest-numbered vertex, so the result is deterministic.
+    color, so the result is deterministic; colors at u are distinct, so a
+    fan color names its vertex and no tie between vertices arises.
     """
     _, delta, _ = degree_profile(g)
     palette = delta + 1
-    # at[v][c] = neighbor across the c-colored edge at v
+    # at[v][c] = neighbor across the c-colored edge at v; bit c of used[v]
+    # is set iff v has a c-colored edge
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    used = [0] * g.n
     ecolor: dict[Edge, int] = {}
 
     def free_color(v: int) -> int:
-        for c in range(palette):
-            if c not in at[v]:
-                return c
-        raise AssertionError("degree exceeded palette")
+        return (~used[v] & (used[v] + 1)).bit_length() - 1
 
     def assign(x: int, y: int, c: int) -> None:
         at[x][c] = y
         at[y][c] = x
+        used[x] |= 1 << c
+        used[y] |= 1 << c
         ecolor[ordered_edge(x, y)] = c
 
     def unassign(x: int, y: int) -> int:
         c = ecolor.pop(ordered_edge(x, y))
         del at[x][c]
         del at[y][c]
+        used[x] ^= 1 << c
+        used[y] ^= 1 << c
         return c
 
     for u, v in sorted(g.edges()):
-        # maximal fan of u starting at v
+        # maximal fan of u starting at v: next is the lowest color at u
+        # that is free at the tip and not yet in the fan
         fan = [v]
-        in_fan = {v}
-        while True:
-            tip = fan[-1]
-            best: tuple[int, int] | None = None
-            for w in g.adjacency[u]:
-                if w in in_fan:
-                    continue
-                c = ecolor.get(ordered_edge(u, w))
-                if c is None or c in at[tip]:
-                    continue
-                if best is None or (c, w) < best:
-                    best = (c, w)
-            if best is None:
-                break
-            fan.append(best[1])
-            in_fan.add(best[1])
+        fan_colors = 0
+        while candidates := used[u] & ~used[fan[-1]] & ~fan_colors:
+            low = candidates & -candidates
+            fan_colors |= low
+            fan.append(at[u][low.bit_length() - 1])
 
         c = free_color(u)
         d = free_color(fan[-1])
@@ -118,17 +107,15 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
                 y = at[x][col]
                 path.append((x, y, col))
                 x, col = y, (c if col == d else d)
-            for x, y, col in path:
-                del at[x][col]
-                del at[y][col]
-                del ecolor[ordered_edge(x, y)]
+            for x, y, _ in path:
+                unassign(x, y)
             for x, y, col in path:
                 assign(x, y, c if col == d else d)
 
         # shortest fan prefix that is still a fan and whose tip misses d
         w_idx = None
         for i, fi in enumerate(fan):
-            if i > 0 and ecolor[ordered_edge(u, fan[i])] in at[fan[i - 1]]:
+            if i > 0 and ecolor[ordered_edge(u, fi)] in at[fan[i - 1]]:
                 break
             if d not in at[fi]:
                 w_idx = i
@@ -136,16 +123,16 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
         if w_idx is None:
             raise AssertionError("fan rotation failed; coloring bug")
 
-        shifted = [ecolor[ordered_edge(u, fan[j + 1])] for j in range(w_idx)]
-        for j in range(1, w_idx + 1):
-            unassign(u, fan[j])
+        shifted = [unassign(u, fan[j]) for j in range(1, w_idx + 1)]
         for j in range(w_idx):
             assign(u, fan[j], shifted[j])
         assign(u, fan[w_idx], d)
 
-    used = sorted(set(ecolor.values()))
-    remap = {c: i for i, c in enumerate(used)}
-    return EdgeColoring({e: remap[c] for e, c in ecolor.items()}, len(used))
+    colors = sorted(set(ecolor.values()))
+    if colors and colors[-1] >= palette:
+        raise AssertionError("degree exceeded palette")
+    remap = {c: i for i, c in enumerate(colors)}
+    return EdgeColoring({e: remap[c] for e, c in ecolor.items()}, len(colors))
 
 
 def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:
@@ -156,9 +143,9 @@ def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:
         raise ValueError("coloring is not a proper edge coloring of the graph")
     if not coloring.colors:
         return ()
-    classes = coloring.classes()
-    best = max(range(len(classes)), key=lambda c: (len(classes[c]), -c))
-    return tuple(sorted(classes[best]))
+    sizes = Counter(coloring.colors.values())
+    best = max(sizes, key=lambda c: (sizes[c], -c))
+    return tuple(sorted(e for e, c in coloring.colors.items() if c == best))
 
 
 @dataclass(frozen=True)

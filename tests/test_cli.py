@@ -197,8 +197,11 @@ def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
     code, _, err = run_cli(
         "run", str(path),
         "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "3",
+        "--out", str(tmp_path / "cert.txt"),
     )
     assert code == 3
+    # a failed run leaves no certificate: an empty file would verify as valid
+    assert not (tmp_path / "cert.txt").exists()
     lines = err.splitlines()
     assert "attempt,sampled,triangles,edges,outcome" in lines
     assert any(line.startswith("0,") for line in lines)
@@ -248,6 +251,11 @@ MALFORMED = {
         ["experiment", "--family", "projective", "--q", "3,x", "--trials", "1"],
         2, "error:", "'x'",
     ),
+    "experiment-unwritable-out": (
+        ["experiment", "--family", "projective", "--q", "3", "--trials", "1",
+         "--out", "{nodir}"],
+        2, "error:", "no-such-dir",
+    ),
     "experiment-zero-trials": (
         ["experiment", "--family", "projective", "--q", "3", "--trials", "0"],
         2, "error:", "trials",
@@ -296,8 +304,11 @@ def test_malformed_input_is_reported_not_raised(case, c6_file, tmp_path):
         paths[name] = tmp_path / ("absent.txt" if data is None else f"{name}.txt")
         if data is not None:
             paths[name].write_bytes(data)
-    code, _, err = run_cli(*(arg.format(**paths) for arg in argv))
+    code, out, err = run_cli(*(arg.format(**paths) for arg in argv))
     assert code == expected_code, err
+    # a rejected run prints no result and does no pipeline work
+    assert out == ""
+    assert not any(line.startswith("# ") for line in err.splitlines()), err
     assert err.splitlines()[-1].startswith(prefix), err
     assert needle in err, err
     assert "Traceback" not in err

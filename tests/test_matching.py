@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -14,7 +15,10 @@ from indmatch import (
     is_independent_set,
     misra_gries_edge_color,
     named_fixture,
+    polarity_graph,
+    projective_incidence_graph,
     pull_back_matching,
+    random_regular,
     validate_graph,
 )
 from indmatch.matching import EdgeColoring
@@ -55,6 +59,47 @@ def test_coloring_deterministic(petersen):
     a = misra_gries_edge_color(petersen)
     b = misra_gries_edge_color(petersen)
     assert a.colors == b.colors and a.num_colors == b.num_colors
+
+
+# sha256 of each coloring, computed with the adjacency-scanning colorer this
+# one replaced: irregular (polarity), long fans (degree 20) and complete
+# graphs that need max_degree + 1 colors.
+FROZEN_COLORINGS = {
+    "projective-13": (
+        lambda: projective_incidence_graph(13),
+        "446def29031140150e1bd0fce8f75a8fa813b7ff18be45e7300857dc3bc2e1cd",
+    ),
+    "polarity-11": (
+        lambda: polarity_graph(11),
+        "a3a5874307ac5b3758b3ad75d6e751502ae1d32b43206ccb033623a796718495",
+    ),
+    "random-regular-2000-4-1": (
+        lambda: random_regular(2000, 4, 1),
+        "92897e422dc822e7f164e24635d08b377f479f5be367669106a5a23bee2933d3",
+    ),
+    "random-regular-500-20-3": (
+        lambda: random_regular(500, 20, 3),
+        "3d76d6a99cddd16585cc140b66f5da60fb9b0584ce9d9bc97de83a50bef29591",
+    ),
+    "complete-7": (
+        lambda: named_fixture("complete-7"),
+        "266c3e9711a7bb3da4fd7c45aba94d78a037cfa4c8a907080f577a134e01933d",
+    ),
+    "complete-8": (
+        lambda: named_fixture("complete-8"),
+        "23c8356891b9b348f06eae239c0dbc8705ca962ece701842bf740546c1aea0cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_COLORINGS))
+def test_frozen_colorings(name):
+    build, expected = FROZEN_COLORINGS[name]
+    coloring = misra_gries_edge_color(build())
+    h = hashlib.sha256()
+    h.update(repr(sorted(coloring.colors.items())).encode())
+    h.update(f"num_colors {coloring.num_colors}".encode())
+    assert h.hexdigest() == expected
 
 
 def test_extract_matching_examples(heawood):
