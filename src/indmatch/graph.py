@@ -9,7 +9,6 @@ with an old-to-new vertex map.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,9 +28,11 @@ def ordered_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Build
-    instances through :func:`from_edge_list`, which enforces the
-    invariants (no self-loops, symmetric adjacency, no duplicates).
+    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Untrusted
+    pairs enter through :func:`from_edge_list`, which enforces the invariants
+    (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`
+    and ``contract_matching`` build such rows directly, checked by
+    :func:`validate_graph` in tests.
     """
 
     n: int
@@ -185,19 +186,26 @@ def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     return tuple(sorted(seen))
 
 
-def matched_vertices(matching: Iterable[tuple[int, int]]) -> VertexSet:
-    return frozenset(v for e in matching for v in e)
-
-
 def is_matching(edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the (deduplicated) edges are pairwise vertex-disjoint."""
-    used: set[int] = set()
-    for u, v in canonical_matching(edges):
-        if u in used or v in used:
-            return False
-        used.add(u)
-        used.add(v)
-    return True
+    edges = canonical_matching(edges)
+    return len({v for e in edges for v in e}) == 2 * len(edges)
+
+
+def _matching_owner(g: Graph, matching) -> tuple[Matching, dict[int, int] | None]:
+    """Canonical edges of ``matching`` and the map from each endpoint to the
+    index of its edge; the map is ``None`` when two edges share an endpoint.
+    Any edge out of range or absent from ``g`` raises ``ValueError`` first."""
+    edges = canonical_matching(matching)
+    owner: dict[int, int] = {}
+    for idx, (u, v) in enumerate(edges):
+        if u < 0 or v >= g.n:  # canonical: u < v
+            raise ValueError(f"matching edge ({u}, {v}) out of range for n={g.n}")
+        if not g.has_edge(u, v):
+            raise ValueError(f"matching edge ({u}, {v}) not present in graph")
+        owner[u] = owner[v] = idx
+    # canonical edges are distinct, so they are disjoint iff no endpoint repeats
+    return edges, owner if len(owner) == 2 * len(edges) else None
 
 
 def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
@@ -207,20 +215,14 @@ def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
     Raises ``ValueError`` when a listed endpoint lies outside ``[0, n)`` or
     a listed edge is absent from ``g``.
     """
-    edges = canonical_matching(matching)
-    for u, v in edges:
-        if u < 0 or v >= g.n:  # canonical: u < v
-            raise ValueError(f"matching edge ({u}, {v}) out of range for n={g.n}")
-        if not g.has_edge(u, v):
-            raise ValueError(f"matching edge ({u}, {v}) not present in graph")
-    if not is_matching(edges):
+    _, owner = _matching_owner(g, matching)
+    if owner is None:
         return False
-    edge_set = set(edges)
-    endpoints = matched_vertices(edges)
-    for v in endpoints:
-        for w in g.adjacency[v]:
-            if w > v and w in endpoints and (v, w) not in edge_set:
-                return False
+    # each endpoint's only matched neighbor is its partner
+    endpoints, adjacency = owner.keys(), g.adjacency
+    for v in owner:
+        if len(endpoints & adjacency[v]) != 1:
+            return False
     return True
 
 
@@ -240,33 +242,36 @@ def write_edge_list(g: Graph, target: str | Path | IO[str]) -> None:
 
 
 def read_edge_list(source: str | Path | IO[str]) -> Graph:
+    """One pass over the lines; blank lines are skipped, and errors name the
+    original line. Checked in order: header, line count, the first edge line
+    that is not two integers, then :func:`from_edge_list`'s checks."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    rows = [
-        (idx + 1, line.split())
-        for idx, line in enumerate(io.StringIO(text))
-        if line.strip()
-    ]
-    if not rows:
-        raise ValueError("empty edge-list file")
-    lineno, header = rows[0]
-    if len(header) != 2:
-        raise ValueError(f"line {lineno}: expected header 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: expected header 'n m'") from exc
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for lineno, tokens in rows[1:]:
-        if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected two integers")
+    m: int | None = None  # edge count from the header, once it is read
+    edges: list[tuple[int, int]] = []
+    bad_lines: list[int] = []  # edge lines that are not two integers
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if m is None:
+            try:
+                n, m = map(int, tokens)  # exactly two tokens
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: expected header 'n m'") from exc
+            continue
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: expected two integers") from exc
-        edges.append((u, v))
+            u, v = tokens
+            edges.append((int(u), int(v)))
+        except ValueError:
+            bad_lines.append(lineno)
+    if m is None:
+        raise ValueError("empty edge-list file")
+    found = len(edges) + len(bad_lines)
+    if found != m:
+        raise ValueError(f"expected {m} edge lines, found {found}")
+    if bad_lines:
+        raise ValueError(f"line {bad_lines[0]}: expected two integers")
     return from_edge_list(n, edges)

@@ -12,16 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import (
-    Edge,
-    Graph,
-    Matching,
-    canonical_matching,
-    degree_profile,
-    from_edge_list,
-    is_matching,
-    ordered_edge,
-)
+from .graph import Edge, Graph, Matching, _matching_owner, degree_profile, ordered_edge
 
 
 @dataclass(frozen=True)
@@ -34,18 +25,20 @@ class EdgeColoring:
 
 
 def is_proper_edge_coloring(g: Graph, coloring: EdgeColoring) -> bool:
-    """Every edge colored, ids in range, and no color repeated at a vertex."""
-    edges = set(g.edges())
-    if set(coloring.colors) != edges:
+    """Every edge colored, ids in range, and no color repeated at a vertex.
+    Keys are the edge set iff there are ``m`` of them, each an edge of ``g``."""
+    if len(coloring.colors) != g.m:
         return False
-    seen: list[set[int]] = [set() for _ in range(g.n)]
+    n, num_colors = g.n, coloring.num_colors
+    used = [0] * n  # bit c of used[v] is set iff v has a c-colored edge
     for (u, v), c in coloring.colors.items():
-        if not 0 <= c < coloring.num_colors:
+        if not (0 <= u < v < n and g.has_edge(u, v) and 0 <= c < num_colors):
             return False
-        if c in seen[u] or c in seen[v]:
+        bit = 1 << c
+        if (used[u] | used[v]) & bit:
             return False
-        seen[u].add(c)
-        seen[v].add(c)
+        used[u] |= bit
+        used[v] |= bit
     return True
 
 
@@ -165,25 +158,17 @@ class ContractedGraph:
 
 
 def contract_matching(g: Graph, matching) -> ContractedGraph:
-    edges = canonical_matching(matching)
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"matching edge ({u}, {v}) not present in graph")
-    if not is_matching(edges):
+    edges, inv_rep = _matching_owner(g, matching)
+    if inv_rep is None:
         raise ValueError("edges do not form a matching")
-    inv_rep: dict[int, int] = {}
-    for idx, (u, v) in enumerate(edges):
-        inv_rep[u] = idx
-        inv_rep[v] = idx
-    quotient_edges = set()
-    for idx, (u, v) in enumerate(edges):
-        for x in (u, v):
-            for w in g.adjacency[x]:
-                j = inv_rep.get(w)
-                if j is not None and j != idx:
-                    quotient_edges.add((idx, j) if idx < j else (j, idx))
-    quotient = from_edge_list(len(edges), quotient_edges)
-    return ContractedGraph(graph=quotient, rep=edges, inv_rep=inv_rep)
+    # host adjacency is symmetric, so these sorted rows are too
+    adjacency = g.adjacency
+    rows = []
+    for idx, e in enumerate(edges):
+        row = {inv_rep[w] for x in e for w in adjacency[x] if w in inv_rep}
+        row.discard(idx)
+        rows.append(tuple(sorted(row)))
+    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges, inv_rep=inv_rep)
 
 
 def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:

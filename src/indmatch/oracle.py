@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph, Matching, VertexSet, canonical_matching, ordered_edge
+from .matching import EdgeColoring
 
 
 @dataclass(frozen=True)
@@ -169,3 +170,16 @@ def is_induced_matching_bf(g: Graph, matching) -> bool:
         if ordered_edge(u, v) in all_edges
     }
     return induced == set(edges)
+
+
+def is_proper_edge_coloring_bf(g: Graph, coloring: EdgeColoring) -> bool:
+    """Set-based twin of :func:`indmatch.matching.is_proper_edge_coloring`."""
+    if set(coloring.colors) != set(g.edges()):
+        return False
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    for (u, v), c in coloring.colors.items():
+        if not 0 <= c < coloring.num_colors or c in seen[u] or c in seen[v]:
+            return False
+        seen[u].add(c)
+        seen[v].add(c)
+    return True

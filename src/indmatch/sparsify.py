@@ -230,7 +230,6 @@ class IndependentSetResult:
     vertices: VertexSet
     attempts: int  # sampling attempts consumed (0 on the low-degree path)
     attempt_stats: tuple[AttemptStats, ...]
-    average_degree_after: float  # of the triangle-free remainder actually used
     bypassed: bool  # low-degree path: no sampling
 
 
@@ -278,12 +277,10 @@ def sparsify_independent_set(
     if dmax <= params.degree_cutoff:
         remainder, _, mapping = break_triangles(g, triangles)
         chosen = triangle_free_independent_set(remainder)
-        avg = 2 * remainder.m / remainder.n if remainder.n else 0.0
         return IndependentSetResult(
             vertices=frozenset(_compose(mapping, chosen)),
             attempts=0,
             attempt_stats=(),
-            average_degree_after=avg,
             bypassed=True,
         )
 
@@ -318,12 +315,10 @@ def sparsify_independent_set(
         chosen = triangle_free_independent_set(remainder)
         in_subgraph = _compose(break_map, chosen)
         original = _compose(sub_map, in_subgraph)
-        avg = 2 * remainder.m / remainder.n if remainder.n else 0.0
         return IndependentSetResult(
             vertices=frozenset(original),
             attempts=index + 1,
             attempt_stats=tuple(trail),
-            average_degree_after=avg,
             bypassed=False,
         )
     raise RetriesExhausted(tuple(trail))

@@ -16,7 +16,7 @@ from indmatch import (
     validate_graph,
     write_edge_list,
 )
-from indmatch.graph import canonical_matching, matched_vertices
+from indmatch.graph import canonical_matching
 from indmatch.oracle import count_triangles_bf
 
 from conftest import graphs
@@ -141,7 +141,7 @@ def test_induced_matching_implies_matching_and_vertex_count(c6):
     m = canonical_matching([(0, 1), (3, 4)])
     assert is_induced_matching(c6, m)
     assert is_matching(m)
-    assert len(matched_vertices(m)) == 2 * len(m)
+    assert len({v for e in m for v in e}) == 2 * len(m)
 
 
 def test_edge_list_roundtrip(tmp_path, petersen):
@@ -166,6 +166,36 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("2 2\n0 1\n"))
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO(""))
+    with pytest.raises(ValueError, match="line 1: expected header"):
+        read_edge_list(io.StringIO("3 1 0\n0 1\n"))
+    with pytest.raises(ValueError, match="line 2"):
+        read_edge_list(io.StringIO("3 1\n0 1 2\n"))
+    # blank lines are skipped, but errors name the line of the original file
+    with pytest.raises(ValueError, match="line 3: expected header"):
+        read_edge_list(io.StringIO("\n  \nx y\n"))
+    with pytest.raises(ValueError, match="line 5: expected two integers"):
+        read_edge_list(io.StringIO("\n\n  \n3 1\n0 x\n"))
+    # a lone carriage return does not end a line
+    with pytest.raises(ValueError, match="line 1: expected header"):
+        read_edge_list(io.StringIO("3 1\r0 1\n"))
+    # the line count is checked before any edge line, and every edge line
+    # is parsed before any pair is checked for self-loops and range
+    with pytest.raises(ValueError, match="expected 3 edge lines, found 2"):
+        read_edge_list(io.StringIO("3 3\n0 x\n1 1\n"))
+    with pytest.raises(ValueError, match="line 3: expected two integers"):
+        read_edge_list(io.StringIO("3 2\n1 1\n0 x\n"))
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        read_edge_list(io.StringIO("3 2\n1 1\n0 5\n"))
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=3"):
+        read_edge_list(io.StringIO("\r\n3 1\r\n\r\n0 5\r\n"))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        read_edge_list(io.StringIO("-1 1\n0 1\n"))
+
+
+def test_edge_list_reader_accepts_crlf_and_blank_lines():
+    expected = from_edge_list(3, [(0, 1)])
+    assert read_edge_list(io.StringIO("3 1\r\n0 1\r\n")) == expected
+    assert read_edge_list(io.StringIO("\n\n3 1\n\n1 0\n\n")) == expected
 
 
 @settings(max_examples=60, deadline=None)

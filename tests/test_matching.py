@@ -146,6 +146,10 @@ def test_contract_rejects_invalid(c6):
         contract_matching(c6, [(0, 2)])  # not an edge
     with pytest.raises(ValueError):
         contract_matching(c6, [(0, 1), (1, 2)])  # shares a vertex
+    with pytest.raises(ValueError, match="out of range"):
+        contract_matching(c6, [(-1, 0)])  # -1 must not alias vertex 5
+    with pytest.raises(ValueError, match="out of range"):
+        contract_matching(c6, [(6, 7)])
 
 
 def test_contract_degree_bound():
@@ -185,6 +189,7 @@ def test_contraction_correspondence_both_directions(g):
     if not matching:
         return
     cg = contract_matching(g, matching)
+    validate_graph(cg.graph)
     index_of = {e: i for i, e in enumerate(cg.rep)}
     for r in range(len(matching) + 1):
         for subset in combinations(matching, r):

@@ -2,13 +2,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indmatch import is_induced_matching, is_independent_set, named_fixture
+from indmatch import (
+    is_induced_matching,
+    is_independent_set,
+    is_proper_edge_coloring,
+    misra_gries_edge_color,
+    named_fixture,
+)
+from indmatch.matching import EdgeColoring
 from indmatch.oracle import (
     OracleLimitError,
     contains_kbb_bf,
     count_triangles_bf,
     is_c4_free_bf,
     is_induced_matching_bf,
+    is_proper_edge_coloring_bf,
     max_independent_set_bf,
     max_induced_matching_bf,
 )
@@ -118,3 +126,54 @@ def test_fast_and_exhaustive_induced_checks_agree_on_any_ids(name, matching):
     assert _verdict(is_induced_matching, g, matching) == _verdict(
         is_induced_matching_bf, g, matching
     )
+
+
+KEY_CORRUPTIONS = ("drop", "non-edge", "reversed", "negative-id", "id-n")
+COLOR_CORRUPTIONS = ("repeat", "too-large", "negative")
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9, min_n=2), st.data())
+def test_fast_and_set_based_coloring_checks_agree(g, data):
+    # Start from a proper coloring and apply at most one corruption; the
+    # bitmask check must give the set-based twin's verdict on every input.
+    coloring = misra_gries_edge_color(g)
+    colors = dict(coloring.colors)
+    keys = sorted(colors)
+    kind = data.draw(st.sampled_from(("none",) + KEY_CORRUPTIONS + COLOR_CORRUPTIONS))
+    if kind in KEY_CORRUPTIONS and keys:
+        # a bad key either replaces an edge's key, keeping the count, or is
+        # added beside all the edges
+        key = data.draw(st.sampled_from(keys))
+        non_edges = [
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+        ]
+        bad = {
+            "drop": None,
+            "non-edge": data.draw(st.sampled_from(non_edges)) if non_edges else None,
+            "reversed": key[::-1],
+            "negative-id": (-1, 0),
+            "id-n": (g.n - 1, g.n),
+        }[kind]
+        if kind == "drop" or data.draw(st.booleans()):
+            color = colors.pop(key)
+        else:
+            color = 0
+        if bad is not None:
+            colors[bad] = color
+    elif kind == "repeat":
+        by_vertex = [[e for e in keys if v in e] for v in range(g.n)]
+        crowded = [edges for edges in by_vertex if len(edges) >= 2]
+        if crowded:
+            edges = data.draw(st.sampled_from(crowded))
+            first, second = data.draw(st.permutations(edges))[:2]
+            colors[second] = colors[first]
+    elif kind in COLOR_CORRUPTIONS and keys:
+        key = data.draw(st.sampled_from(keys))
+        colors[key] = coloring.num_colors if kind == "too-large" else -1
+    corrupted = EdgeColoring(colors, coloring.num_colors)
+    assert is_proper_edge_coloring(g, corrupted) == is_proper_edge_coloring_bf(
+        g, corrupted
+    )
+    if kind == "none":
+        assert is_proper_edge_coloring(g, corrupted)
