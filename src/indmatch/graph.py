@@ -63,7 +63,9 @@ class Graph:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        """False whenever ``u`` or ``v`` lies outside ``[0, n)``. Scans the
+        sorted row of ``u``, so no per-vertex set is built."""
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def edges(self) -> Iterator[Edge]:
         for u in range(self.n):

@@ -12,13 +12,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, Matching, _matching_owner, degree_profile, ordered_edge
+from .graph import Edge, Graph, Matching, _matching_owner, degree_profile
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     """Proper edge coloring: ``colors`` maps each canonical edge to a color
-    id in ``[0, num_colors)``."""
+    id in ``[0, num_colors)``. Its items are the contract; its iteration
+    order is not."""
 
     colors: dict[Edge, int]
     num_colors: int
@@ -53,79 +54,99 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
     extension, free colors, prefix) take the lowest-numbered admissible
     color, so the result is deterministic; colors at u are distinct, so a
     fan color names its vertex and no tie between vertices arises.
+
+    State is two flat tables. Bit c of ``used[v]`` is set iff v has a
+    c-colored edge, and then ``at[v * palette + c]`` is the neighbor across
+    it; a slot whose bit is clear is stale and never read. The fan keeps
+    its edges' colors, the flip and the rotation rewrite slots in place, and
+    ``colors`` is read off the tables once at the end. Its items are the
+    contract; its iteration order is not.
     """
+    n = g.n
     _, delta, _ = degree_profile(g)
     palette = delta + 1
-    # at[v][c] = neighbor across the c-colored edge at v; bit c of used[v]
-    # is set iff v has a c-colored edge
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    used = [0] * g.n
-    ecolor: dict[Edge, int] = {}
+    at = [0] * (n * palette)
+    used = [0] * n
 
-    def free_color(v: int) -> int:
-        return (~used[v] & (used[v] + 1)).bit_length() - 1
-
-    def assign(x: int, y: int, c: int) -> None:
-        at[x][c] = y
-        at[y][c] = x
-        used[x] |= 1 << c
-        used[y] |= 1 << c
-        ecolor[ordered_edge(x, y)] = c
-
-    def unassign(x: int, y: int) -> int:
-        c = ecolor.pop(ordered_edge(x, y))
-        del at[x][c]
-        del at[y][c]
-        used[x] ^= 1 << c
-        used[y] ^= 1 << c
-        return c
-
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         # maximal fan of u starting at v: next is the lowest color at u
-        # that is free at the tip and not yet in the fan
+        # that is free at the tip and not yet in the fan; fan_cols[i] is the
+        # color of edge (u, fan[i + 1])
+        base_u = u * palette
         fan = [v]
-        fan_colors = 0
-        while candidates := used[u] & ~used[fan[-1]] & ~fan_colors:
+        fan_cols: list[int] = []
+        fan_mask = 0
+        while candidates := used[u] & ~used[fan[-1]] & ~fan_mask:
             low = candidates & -candidates
-            fan_colors |= low
-            fan.append(at[u][low.bit_length() - 1])
+            fan_mask |= low
+            col = low.bit_length() - 1
+            fan_cols.append(col)
+            fan.append(at[base_u + col])
 
-        c = free_color(u)
-        d = free_color(fan[-1])
-        if c != d:
-            # invert the maximal path through u alternating d, c
-            path: list[tuple[int, int, int]] = []
+        c = (~used[u] & (used[u] + 1)).bit_length() - 1
+        tip = used[fan[-1]]
+        d = (~tip & (tip + 1)).bit_length() - 1
+        if c != d and used[u] >> d & 1:
+            # invert the maximal path from u alternating d, c; interior
+            # vertices keep both colors, so only the two ends change ``used``
+            path = [u]
             x, col = u, d
-            while col in at[x]:
-                y = at[x][col]
-                path.append((x, y, col))
-                x, col = y, (c if col == d else d)
-            for x, y, _ in path:
-                unassign(x, y)
-            for x, y, col in path:
-                assign(x, y, c if col == d else d)
+            while used[x] >> col & 1:
+                x = at[x * palette + col]
+                path.append(x)
+                col ^= c ^ d
+            col = c  # the new color of the path's first edge, at u
+            for x, y in zip(path, path[1:]):
+                at[x * palette + col] = y
+                at[y * palette + col] = x
+                col ^= c ^ d
+            swap = (1 << c) | (1 << d)
+            used[u] ^= swap
+            used[path[-1]] ^= swap
+            # the flip recolored u's d-edge, which may be a fan edge
+            if fan_mask >> d & 1:
+                fan_cols[fan_cols.index(d)] = c
 
         # shortest fan prefix that is still a fan and whose tip misses d
         w_idx = None
         for i, fi in enumerate(fan):
-            if i > 0 and ecolor[ordered_edge(u, fi)] in at[fan[i - 1]]:
+            if i > 0 and used[fan[i - 1]] >> fan_cols[i - 1] & 1:
                 break
-            if d not in at[fi]:
+            if not used[fi] >> d & 1:
                 w_idx = i
                 break
         if w_idx is None:
             raise AssertionError("fan rotation failed; coloring bug")
 
-        shifted = [unassign(u, fan[j]) for j in range(1, w_idx + 1)]
-        for j in range(w_idx):
-            assign(u, fan[j], shifted[j])
-        assign(u, fan[w_idx], d)
+        # rotate: edge (u, fan[j]) takes the color of (u, fan[j + 1]), and
+        # (u, fan[w_idx]) takes d; u keeps its other colors and gains d
+        fan_cols[w_idx:] = [d]
+        for j in range(w_idx + 1):
+            x, col = fan[j], fan_cols[j]
+            at[base_u + col] = x
+            at[x * palette + col] = u
+            if j:
+                used[x] ^= 1 << fan_cols[j - 1]
+            used[x] |= 1 << col
+        used[u] |= 1 << d
 
-    colors = sorted(set(ecolor.values()))
-    if colors and colors[-1] >= palette:
+    all_used = 0
+    for mask in used:
+        all_used |= mask
+    if all_used.bit_length() > palette:
         raise AssertionError("degree exceeded palette")
-    remap = {c: i for i, c in enumerate(colors)}
-    return EdgeColoring({e: remap[c] for e, c in ecolor.items()}, len(colors))
+    colors: dict[Edge, int] = {}
+    for x in range(n):
+        mask, base = used[x], x * palette
+        for col in range(mask.bit_length()):
+            if mask >> col & 1 and x < (y := at[base + col]):
+                colors[(x, y)] = col
+    num_colors = all_used.bit_count()
+    if all_used.bit_length() != num_colors:  # used colors are not 0..k-1
+        present = [col for col in range(all_used.bit_length()) if all_used >> col & 1]
+        remap = {col: i for i, col in enumerate(present)}
+        colors = {e: remap[col] for e, col in colors.items()}
+    return EdgeColoring(colors, num_colors)
 
 
 def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:

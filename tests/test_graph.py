@@ -2,6 +2,7 @@ import io
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmatch import (
     degree_profile,
@@ -111,6 +112,23 @@ def test_induced_subgraph_edge_membership(g):
         assert g.has_edge(inverse[u], inverse[v])
     expected = sum(1 for u, v in g.edges() if u in keep and v in keep)
     assert sub.m == expected
+
+
+def test_has_edge_out_of_range_ids(c6):
+    assert c6.has_edge(0, 5) and c6.has_edge(5, 0)
+    # -1 must not alias vertex 5, and 6 must not raise
+    for u, v in [(-1, 0), (0, -1), (6, 0), (0, 6), (-1, -1), (6, 6)]:
+        assert not c6.has_edge(u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.lists(st.tuples(st.integers(), st.integers()), max_size=20))
+def test_has_edge_matches_edge_set(g, extra):
+    edge_set = set(g.edges())
+    ids = range(-2, g.n + 2)
+    queries = [(u, v) for u in ids for v in ids] + extra
+    for u, v in queries:
+        assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edge_set)
 
 
 def test_is_independent_set_examples(c6):

@@ -21,6 +21,7 @@ from indmatch import (
     random_regular,
     validate_graph,
 )
+from indmatch import graph as graph_module, matching as matching_module
 from indmatch.matching import EdgeColoring
 from indmatch.oracle import max_independent_set_bf
 
@@ -61,9 +62,11 @@ def test_coloring_deterministic(petersen):
     assert a.colors == b.colors and a.num_colors == b.num_colors
 
 
-# sha256 of each coloring, computed with the adjacency-scanning colorer this
-# one replaced: irregular (polarity), long fans (degree 20) and complete
-# graphs that need max_degree + 1 colors.
+# sha256 of each coloring. The first six were computed with the
+# adjacency-scanning colorer, the last two with the dict-table colorer that
+# preceded the flat tables. They cover irregular graphs (polarity), long fans
+# (degree 20 and 32), long c/d path flips (n = 20000) and complete graphs
+# that need max_degree + 1 colors.
 FROZEN_COLORINGS = {
     "projective-13": (
         lambda: projective_incidence_graph(13),
@@ -89,6 +92,14 @@ FROZEN_COLORINGS = {
         lambda: named_fixture("complete-8"),
         "23c8356891b9b348f06eae239c0dbc8705ca962ece701842bf740546c1aea0cd",
     ),
+    "random-regular-20000-4-7": (
+        lambda: random_regular(20000, 4, 7),
+        "5e2a6b979b8ce86133a693ae98cc51e03166c30c14fa01a6bcbb0b053dc7ea53",
+    ),
+    "polarity-31": (
+        lambda: polarity_graph(31),
+        "6b548fc95c61cedf1786fa6ad722320391d04dc3757d9a44ad0e92ea643e94ac",
+    ),
 }
 
 
@@ -100,6 +111,21 @@ def test_frozen_colorings(name):
     h.update(repr(sorted(coloring.colors.items())).encode())
     h.update(f"num_colors {coloring.num_colors}".encode())
     assert h.hexdigest() == expected
+
+
+def test_coloring_builds_no_edge_tuples(monkeypatch):
+    # the tables are indexed by vertex and color, never by an edge tuple
+    calls = []
+
+    def counting(u, v, _original=graph_module.ordered_edge):
+        calls.append((u, v))
+        return _original(u, v)
+
+    monkeypatch.setattr(graph_module, "ordered_edge", counting)
+    monkeypatch.setattr(matching_module, "ordered_edge", counting, raising=False)
+    coloring = misra_gries_edge_color(random_regular(200, 4, 1))
+    assert len(coloring.colors) == 400
+    assert calls == []
 
 
 def test_extract_matching_examples(heawood):

@@ -206,6 +206,22 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     assert quotient_n not in sizes
 
 
+def test_pipeline_builds_no_neighbor_sets(monkeypatch):
+    # membership tests scan sorted rows; no per-vertex frozensets are built
+    prepared = []
+
+    def recording(graph, config, _original=pipeline.prepare_pipeline):
+        prepared.append(_original(graph, config))
+        return prepared[-1]
+
+    monkeypatch.setattr(pipeline, "prepare_pipeline", recording)
+    g = random_regular(2000, 4, 1)
+    assert induced_matching(g).certificate is True
+    (prep,) = prepared
+    assert "neighbor_sets" not in g.__dict__
+    assert "neighbor_sets" not in prep.contracted.graph.__dict__
+
+
 def _certificates_digest(results) -> str:
     h = hashlib.sha256()
     for seed, result in results:
