@@ -73,7 +73,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         degree_cutoff=args.d0,
         max_retries=args.max_retries,
         seed=args.seed,
-        verify=args.verify,
         greedy_fallback=args.greedy_fallback,
     )
 
@@ -90,12 +89,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d0", type=int, default=16, help="degree cutoff that skips sampling")
     parser.add_argument("--max-retries", type=int, default=50)
     parser.add_argument("--greedy-fallback", action="store_true")
-    parser.add_argument(
-        "--verify",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="certify the output (on by default)",
-    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -129,13 +122,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(edge_lines, encoding="utf-8")
     _, dmax, _ = degree_profile(graph)
-    status = "ok" if result.certificate is not False else "invalid"
+    status = "ok" if result.certificate else "invalid"
     print(edge_lines + CSV_HEADER)
     print(_stats_row("file", "", graph.n, dmax, config.seed, result, status))
     print(f"# wall_seconds={elapsed:.3f}", file=sys.stderr)
-    if config.verify and not result.certificate:
-        return EXIT_INVALID
-    return EXIT_OK
+    return EXIT_OK if result.certificate else EXIT_INVALID
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -160,7 +151,6 @@ def _sweep(
     args: argparse.Namespace, params: list[int], config: PipelineConfig
 ) -> tuple[list[str], list[str]]:
     """CSV rows (header first) and summary lines of an experiment sweep."""
-    degree = args.d if args.d is not None else 3
     rows = [CSV_HEADER]
     summaries = []
     sweep_ratios: list[float] = []
@@ -169,7 +159,7 @@ def _sweep(
         ok = 0
         try:
             graph_seed = mix64(args.seed, args.family, param, "graph")
-            spec = generators.GeneratorSpec(args.family, q=param, n=param, d=degree, seed=graph_seed)
+            spec = generators.GeneratorSpec(args.family, q=param, n=param, d=args.d, seed=graph_seed)
             graph = generators.build_graph(spec)
             prep = prepare_pipeline(graph, config)
             prep_error = None
@@ -200,7 +190,7 @@ def _sweep(
                     _stats_row(args.family, str(param), graph.n, dmax, seed, None, "retries")
                 )
                 continue
-            status = "ok" if result.certificate is not False else "invalid"
+            status = "ok" if result.certificate else "invalid"
             ok += 1
             if result.stats.ratio is not None:
                 ratios.append(result.stats.ratio)
@@ -232,8 +222,6 @@ def _status_of(exc: Exception) -> str:
         return "empty-matching"
     if isinstance(exc, TriangleBudgetExceeded):
         return "triangle-budget"
-    if isinstance(exc, RetriesExhausted):
-        return "retries"
     if isinstance(exc, generators.GenerationError):
         return "generation"
     return "error"
@@ -323,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--family", required=True, choices=["projective", "polarity", "random-regular"])
     exp.add_argument("--q", required=True, help="comma-separated parameter list (q, or n for random-regular)")
     exp.add_argument("--trials", type=int, required=True)
-    exp.add_argument("--d", type=int, default=None, help="degree for random-regular sweeps (default 3)")
+    exp.add_argument("--d", type=int, default=3, help="degree for random-regular sweeps (default 3)")
     _add_pipeline_flags(exp)
     exp.add_argument("--out", default=None)
     exp.add_argument("--floor", type=float, default=None, help="flag PASS/FAIL against this min-ratio floor")

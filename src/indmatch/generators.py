@@ -209,7 +209,7 @@ def named_fixture(name: str) -> Graph:
             if k < 1:
                 raise ValueError(f"path needs k >= 1, got {k}")
             return from_edge_list(k, [(i, i + 1) for i in range(k - 1)])
-        if parts[0] == "complete" and parts[1] != "bipartite" and len(parts) == 2:
+        if parts[0] == "complete" and len(parts) == 2 and parts[1] != "bipartite":
             k = int(parts[1])
             if k < 1:
                 raise ValueError(f"complete needs k >= 1, got {k}")

@@ -32,7 +32,8 @@ class Graph:
     pairs enter through :func:`from_edge_list`, which enforces the invariants
     (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`
     and ``contract_matching`` build such rows directly, checked by
-    :func:`validate_graph` in tests.
+    :func:`validate_graph` in tests. Derived facts (``m``, ``degree_profile``,
+    ``triangles``) are computed on first use and cached on the graph.
     """
 
     n: int
@@ -56,11 +57,33 @@ class Graph:
         lo, hi = min(degs), max(degs)
         return (lo, hi, lo == hi)
 
+    @cached_property
+    def triangles(self) -> tuple[Triangle, ...]:
+        """All triangles, each exactly once as a sorted tuple, in sorted order.
+
+        Neighbor intersection over a degree ordering: every triangle is
+        reported from its lowest-rank vertex, so no deduplication pass is
+        needed.
+        """
+        n, adjacency = self.n, self.adjacency
+        order = sorted(range(n), key=lambda v: (len(adjacency[v]), v))
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        forward = [frozenset(w for w in adjacency[v] if pos[w] > pos[v]) for v in range(n)]
+        triangles: list[Triangle] = []
+        for u in range(n):
+            fu = forward[u]
+            for v in fu:
+                common = fu & forward[v]
+                for w in common:
+                    a, b, c = sorted((u, v, w))
+                    triangles.append((a, b, c))
+        triangles.sort()
+        return tuple(triangles)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         """False whenever ``u`` or ``v`` lies outside ``[0, n)``. Scans the
@@ -126,27 +149,10 @@ def degree_profile(g: Graph) -> tuple[int, int, bool]:
     return g.degree_profile
 
 
-def enumerate_triangles(g: Graph) -> list[Triangle]:
-    """All triangles of ``g``, each exactly once as a sorted tuple.
-
-    Neighbor intersection over a degree ordering: every triangle is reported
-    from its lowest-rank vertex, so no deduplication pass is needed.
-    """
-    order = sorted(range(g.n), key=lambda v: (len(g.adjacency[v]), v))
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    forward = [frozenset(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n)]
-    triangles: list[Triangle] = []
-    for u in range(g.n):
-        fu = forward[u]
-        for v in fu:
-            common = fu & forward[v]
-            for w in common:
-                a, b, c = sorted((u, v, w))
-                triangles.append((a, b, c))
-    triangles.sort()
-    return triangles
+def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
+    """All triangles of ``g``, each exactly once as a sorted tuple, in sorted
+    order. Computed once per graph and cached on it."""
+    return g.triangles
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -63,7 +63,6 @@ class PipelineConfig:
     degree_cutoff: int = DEFAULT_DEGREE_CUTOFF
     max_retries: int = DEFAULT_MAX_RETRIES
     seed: int = 0
-    verify: bool = True
     greedy_fallback: bool = False
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ class PipelineStats:
 class InducedMatchingResult:
     matching: Matching
     size: int
-    certificate: bool | None  # None when verification was not requested
+    certificate: bool
     stats: PipelineStats
 
 
@@ -104,9 +103,8 @@ class PreparedPipeline:
     """Deterministic prefix of a run: coloring, matching, contraction, and
     the triangle budget check, all independent of the seed.
 
-    ``triangles`` is the sorted triangle list of the contraction, enumerated
-    once here and handed to every seeded run, so a sweep over seeds pays for
-    the enumeration once.
+    The contraction's graph caches its triangles, enumerated once here, so a
+    sweep over seeds pays for the enumeration once.
     """
 
     graph: Graph
@@ -115,9 +113,12 @@ class PreparedPipeline:
     contracted: ContractedGraph
     epsilon: float
     contracted_max_degree: int
-    triangles: tuple[Triangle, ...]
     budget: float
     matching_below_quarter: bool
+
+    @property
+    def triangles(self) -> tuple[Triangle, ...]:
+        return self.contracted.graph.triangles
 
     @property
     def contracted_triangles(self) -> int:
@@ -135,7 +136,7 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
     contracted = contract_matching(graph, matching)
     epsilon = config.effective_epsilon()
     _, d_contracted, _ = degree_profile(contracted.graph)
-    triangles = tuple(enumerate_triangles(contracted.graph))
+    triangles = enumerate_triangles(contracted.graph)
     budget = triangle_budget(contracted.graph.n, d_contracted, epsilon)
     if len(triangles) > budget:
         raise TriangleBudgetExceeded(len(triangles), budget)
@@ -146,7 +147,6 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         contracted=contracted,
         epsilon=epsilon,
         contracted_max_degree=d_contracted,
-        triangles=triangles,
         budget=budget,
         matching_below_quarter=len(matching) < math.ceil(graph.n / 4),
     )
@@ -185,9 +185,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     )
     fallback_used = False
     try:
-        found = sparsify_independent_set(
-            prep.contracted.graph, params, seed, triangles=prep.triangles
-        )
+        found = sparsify_independent_set(prep.contracted.graph, params, seed)
         matching = pull_back_matching(prep.contracted, found.vertices)
         attempts = found.attempts
         bypassed = found.bypassed
@@ -199,7 +197,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         bypassed = False
         fallback_used = True
 
-    certificate = is_induced_matching(prep.graph, matching) if config.verify else None
+    certificate = is_induced_matching(prep.graph, matching)
     _, dmax, _ = degree_profile(prep.graph)
     ratio = None
     if dmax >= 2:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import (
     Graph,
-    Triangle,
     VertexSet,
     degree_profile,
     enumerate_triangles,
@@ -160,23 +159,18 @@ def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
     return frozenset(v for v in range(g.n) if rng.random() < p)
 
 
-def break_triangles(
-    g: Graph, triangles: Sequence[Triangle] | None = None
-) -> tuple[Graph, VertexSet, dict[int, int]]:
+def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
     """Delete one vertex from every triangle; returns the triangle-free
     remainder, the removed vertices, and the old-to-new map for survivors.
 
     The canonical triangle list is processed once; from each still-alive
     triangle the endpoint of highest current degree goes (lowest id on
-    ties), which empirically preserves the most vertices. A caller that
-    already holds ``enumerate_triangles(g)`` passes it as ``triangles``.
+    ties), which empirically preserves the most vertices.
     """
-    if triangles is None:
-        triangles = enumerate_triangles(g)
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
     removed = []
-    for a, b, c in triangles:
+    for a, b, c in enumerate_triangles(g):
         if alive[a] and alive[b] and alive[c]:
             victim = min((-deg[v], v) for v in (a, b, c))[1]
             alive[victim] = False
@@ -239,21 +233,13 @@ def _compose(outer: dict[int, int], chosen: Iterable[int]) -> set[int]:
 
 
 def sparsify_independent_set(
-    g: Graph,
-    params: SparsifyParams,
-    seed: int = 0,
-    *,
-    triangles: Sequence[Triangle] | None = None,
+    g: Graph, params: SparsifyParams, seed: int = 0
 ) -> IndependentSetResult:
     """Find an independent set of ``g`` under a triangle budget.
 
     Preconditions: ``params.d`` is at least the max degree of ``g`` (the
     pipeline passes the exact degree) and the triangle count is at most
     ``n * params.d**(2 - epsilon)``, else :class:`TriangleBudgetExceeded`.
-    ``triangles``, when given, must equal ``enumerate_triangles(g)``; it is
-    trusted, not rechecked. The pipeline passes the list it enumerated once
-    per prepared graph, so a sweep over seeds does not enumerate again; when
-    omitted, the triangles are enumerated here.
 
     When the max degree is at most ``params.degree_cutoff`` the sampling
     stage is skipped: triangles are broken directly and the greedy pass runs
@@ -268,14 +254,13 @@ def sparsify_independent_set(
         raise ValueError(
             f"params built for max degree {params.d} but graph has {dmax}"
         )
-    if triangles is None:
-        triangles = enumerate_triangles(g)
+    triangles = enumerate_triangles(g)
     budget = triangle_budget(g.n, params.d, params.epsilon)
     if len(triangles) > budget:
         raise TriangleBudgetExceeded(len(triangles), budget)
 
     if dmax <= params.degree_cutoff:
-        remainder, _, mapping = break_triangles(g, triangles)
+        remainder, _, mapping = break_triangles(g)
         chosen = triangle_free_independent_set(remainder)
         return IndependentSetResult(
             vertices=frozenset(_compose(mapping, chosen)),
@@ -291,7 +276,7 @@ def sparsify_independent_set(
         sampled = sample_vertices(g, params.p, rng)
         subgraph, sub_map = induced_subgraph(g, sampled)
         sub_triangles = enumerate_triangles(subgraph)
-        remainder, _, break_map = break_triangles(subgraph, sub_triangles)
+        remainder, _, break_map = break_triangles(subgraph)
 
         if not thresholds.v_lo <= len(sampled) <= thresholds.v_hi:
             outcome = "vertex-count"

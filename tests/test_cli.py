@@ -271,6 +271,10 @@ MALFORMED = {
         ["generate", "--family", "random-regular", "--n", "5", "--d", "3", "--out", "{out}"],
         2, "error:", "even",
     ),
+    "generate-fixture-bare-complete": (
+        ["generate", "--family", "fixture", "--name", "complete", "--out", "{out}"],
+        2, "error:", "unknown fixture",
+    ),
     "generate-unknown-fixture": (
         ["generate", "--family", "fixture", "--name", "bogus", "--out", "{out}"],
         2, "error:", "bogus",

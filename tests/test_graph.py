@@ -1,4 +1,5 @@
 import io
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -60,15 +61,15 @@ def test_degree_profile_examples(petersen):
 def test_enumerate_triangles_examples(petersen):
     k4 = named_fixture("complete-4")
     assert len(enumerate_triangles(k4)) == 4
-    assert enumerate_triangles(petersen) == []
+    assert enumerate_triangles(petersen) == ()
     tri = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-    assert enumerate_triangles(tri) == [(0, 1, 2)]
+    assert enumerate_triangles(tri) == ((0, 1, 2),)
 
 
 def test_enumerate_triangles_canonical_order():
     k5 = named_fixture("complete-5")
     tris = enumerate_triangles(k5)
-    assert tris == sorted(set(tris))
+    assert tris == tuple(sorted(set(tris)))
     assert all(a < b < c for a, b, c in tris)
 
 
@@ -76,7 +77,13 @@ def test_enumerate_triangles_canonical_order():
 @given(graphs(max_n=12))
 def test_enumerate_triangles_matches_bruteforce(g):
     validate_graph(g)
-    assert len(enumerate_triangles(g)) == count_triangles_bf(g)
+    # combinations of a sorted range come out sorted, as canonical triples
+    brute = tuple(
+        t for t in combinations(range(g.n), 3)
+        if all(g.has_edge(u, v) for u, v in combinations(t, 2))
+    )
+    assert enumerate_triangles(g) == brute
+    assert enumerate_triangles(g) is enumerate_triangles(g)  # cached on g
 
 
 def test_enumerate_triangles_matches_bruteforce_up_to_64():

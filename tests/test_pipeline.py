@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from indmatch import (
     EmptyMatchingError,
+    Graph,
     PipelineConfig,
     degree_profile,
     greedy_induced_matching,
@@ -21,7 +22,7 @@ from indmatch import (
     triangle_budget,
     verify_certificate,
 )
-from indmatch import pipeline, sparsify
+from indmatch import pipeline
 from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
@@ -160,13 +161,6 @@ def test_staged_api_equivalent_to_combined():
     assert run_prepared(prep, 77) == induced_matching(g, cfg)
 
 
-def test_verify_flag_skips_certificate():
-    g = named_fixture("cycle-8")
-    result = induced_matching(g, PipelineConfig(verify=False))
-    assert result.certificate is None
-    assert verify_certificate(g, result) is True
-
-
 def test_soundness_and_ratio_floor_on_regular_corpus():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=8):
         result = induced_matching(g, PipelineConfig(seed=5))
@@ -187,22 +181,23 @@ def test_irregular_input_flagged_but_sound():
 
 def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     sizes = []  # vertex count of every graph whose triangles are enumerated
-    for module in (pipeline, sparsify):
-        original = module.enumerate_triangles
+    enumerate_once = Graph.triangles.func
 
-        def counting(g, *args, _original=original, **kwargs):
-            sizes.append(g.n)
-            return _original(g, *args, **kwargs)
+    def counting(g):
+        sizes.append(g.n)
+        return enumerate_once(g)
 
-        monkeypatch.setattr(module, "enumerate_triangles", counting)
+    monkeypatch.setattr(Graph.triangles, "func", counting)
     prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
     quotient_n = prep.contracted.graph.n
     assert sizes == [quotient_n]  # once, in the deterministic stage
     assert prep.contracted_triangles == len(prep.triangles) > 0
     sizes.clear()
-    for seed in range(5):
-        assert not run_prepared(prep, seed).stats.bypassed  # sampled path
-    assert sizes  # each attempt still enumerates its sample
+    results = [run_prepared(prep, seed) for seed in range(5)]
+    assert not any(r.stats.bypassed for r in results)  # sampled path
+    # each attempt enumerates its sample once, and the passing attempt its
+    # triangle-free remainder (the greedy pass's guard); never the quotient
+    assert len(sizes) == sum(r.stats.attempts + 1 for r in results)
     assert quotient_n not in sizes
 
 
