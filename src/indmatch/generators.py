@@ -60,8 +60,36 @@ def _projective_points(q: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _dot(u: tuple[int, int, int], v: tuple[int, int, int], q: int) -> int:
-    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % q
+def _orthogonal_points(q: int) -> list[tuple[int, ...]]:
+    """For each point of :func:`_projective_points`, the sorted indices of
+    the points orthogonal to it mod ``q``.
+
+    Point ``(a, b, c)`` is orthogonal to ``(x, y, z)`` when
+    ``a*x + b*y + c*z = 0 (mod q)``. That equation is solved once for each
+    normalized form, in enumeration order: ``(1, y, z)`` at index
+    ``y*q + z``, then ``(0, 1, z)`` at ``q*q + z``, then ``(0, 0, 1)``.
+    Every point has exactly ``q + 1`` orthogonal points, so the whole
+    table costs O(q^3).
+    """
+    qq = q * q
+    perp: list[tuple[int, ...]] = []
+    for a, b, c in _projective_points(q):
+        if c:
+            # z = s + t*y for (1, y, z), z = t for (0, 1, z), never (0, 0, 1)
+            inv = pow(c, -1, q)
+            s, t = -a * inv % q, -b * inv % q
+            row = [y * q + (s + t * y) % q for y in range(q)]
+            row.append(qq + t)
+        elif b:
+            # y = -a/b for (1, y, z) with any z; then only (0, 0, 1)
+            y = -a * pow(b, -1, q) % q
+            row = [y * q + z for z in range(q)]
+            row.append(qq + q)
+        else:
+            # (1, 0, 0): every (0, 1, z) and (0, 0, 1)
+            row = [qq + z for z in range(q + 1)]
+        perp.append(tuple(row))
+    return perp
 
 
 def projective_incidence_graph(q: int) -> Graph:
@@ -71,19 +99,17 @@ def projective_incidence_graph(q: int) -> Graph:
     Vertices ``0..N-1`` are points and ``N..2N-1`` are lines, where
     ``N = q*q + q + 1``; both sides use the same frozen coordinate
     enumeration, and point ``i`` joins line ``j`` when their coordinate
-    vectors are orthogonal mod ``q``. The result is (q+1)-regular with
-    girth 6, hence triangle-free and C4-free.
+    vectors are orthogonal mod ``q``. The rows come straight from the
+    ``q + 1`` solutions of each point's linear equation, so building the
+    graph is O(q^3). The result is (q+1)-regular with girth 6, hence
+    triangle-free and C4-free.
     """
     _require_prime(q)
-    pts = _projective_points(q)
-    n = len(pts)
-    edges = [
-        (i, n + j)
-        for i in range(n)
-        for j in range(n)
-        if _dot(pts[i], pts[j], q) == 0
-    ]
-    return from_edge_list(2 * n, edges)
+    perp = _orthogonal_points(q)
+    n = len(perp)
+    # orthogonality is symmetric, so line j's points are perp[j]
+    rows = [tuple(n + j for j in row) for row in perp] + perp
+    return Graph(2 * n, tuple(rows))
 
 
 def polarity_graph(q: int) -> Graph:
@@ -91,19 +117,16 @@ def polarity_graph(q: int) -> Graph:
     order ``q`` (the classical C4-free near-regular construction).
 
     Vertices are the ``q*q + q + 1`` projective points; two distinct points
-    are adjacent when orthogonal. Exactly ``q + 1`` self-orthogonal points
-    have degree ``q``; all others have degree ``q + 1``.
+    are adjacent when orthogonal. Row ``i`` is the ``q + 1`` solutions of
+    point ``i``'s linear equation minus ``i`` itself, so building the graph
+    is O(q^3). Exactly ``q + 1`` self-orthogonal points have degree ``q``;
+    all others have degree ``q + 1``.
     """
     _require_prime(q)
-    pts = _projective_points(q)
-    n = len(pts)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if _dot(pts[i], pts[j], q) == 0
-    ]
-    return from_edge_list(n, edges)
+    rows = tuple(
+        tuple(j for j in row if j != i) for i, row in enumerate(_orthogonal_points(q))
+    )
+    return Graph(len(rows), rows)
 
 
 def _pairing_suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:

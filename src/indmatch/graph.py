@@ -30,10 +30,11 @@ class Graph:
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Untrusted
     pairs enter through :func:`from_edge_list`, which enforces the invariants
-    (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`
-    and ``contract_matching`` build such rows directly, checked by
-    :func:`validate_graph` in tests. Derived facts (``m``, ``degree_profile``,
-    ``triangles``) are computed on first use and cached on the graph.
+    (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
+    ``contract_matching`` and the projective and polarity generators build
+    such rows directly, checked by :func:`validate_graph` in tests. Derived
+    facts (``m``, ``degree_profile``, ``triangles``) are computed on first
+    use and cached on the graph.
     """
 
     n: int

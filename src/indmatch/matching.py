@@ -194,5 +194,11 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
 
 def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:
     """Map an independent set of the quotient back to host edges; the result
-    is an induced matching of the host."""
-    return tuple(sorted(contracted.rep[x] for x in set(vertices)))
+    is an induced matching of the host. A vertex outside ``[0, n)`` of the
+    quotient raises ``ValueError``."""
+    rep = contracted.rep
+    chosen = set(vertices)
+    for x in chosen:
+        if not 0 <= x < len(rep):
+            raise ValueError(f"vertex {x} out of range for n={len(rep)}")
+    return tuple(sorted(rep[x] for x in chosen))

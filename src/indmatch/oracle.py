@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, Matching, VertexSet, canonical_matching, ordered_edge
+from .generators import _projective_points, _require_prime
+from .graph import (
+    Graph,
+    Matching,
+    VertexSet,
+    canonical_matching,
+    from_edge_list,
+    ordered_edge,
+)
 from .matching import EdgeColoring
 
 
@@ -183,3 +191,38 @@ def is_proper_edge_coloring_bf(g: Graph, coloring: EdgeColoring) -> bool:
         seen[u].add(c)
         seen[v].add(c)
     return True
+
+
+def _dot(u: tuple[int, int, int], v: tuple[int, int, int], q: int) -> int:
+    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % q
+
+
+def projective_incidence_graph_bf(q: int) -> Graph:
+    """Dot-product twin of
+    :func:`indmatch.generators.projective_incidence_graph`: tests every
+    point-line pair, O(q^4)."""
+    _require_prime(q)
+    pts = _projective_points(q)
+    n = len(pts)
+    edges = [
+        (i, n + j)
+        for i in range(n)
+        for j in range(n)
+        if _dot(pts[i], pts[j], q) == 0
+    ]
+    return from_edge_list(2 * n, edges)
+
+
+def polarity_graph_bf(q: int) -> Graph:
+    """Dot-product twin of :func:`indmatch.generators.polarity_graph`:
+    tests every pair of distinct points, O(q^4)."""
+    _require_prime(q)
+    pts = _projective_points(q)
+    n = len(pts)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if _dot(pts[i], pts[j], q) == 0
+    ]
+    return from_edge_list(n, edges)

@@ -1,4 +1,6 @@
+import hashlib
 from collections import Counter, deque
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,23 @@ from indmatch import (
     random_regular,
     validate_graph,
 )
-from indmatch.oracle import is_c4_free_bf
+from indmatch.oracle import (
+    is_c4_free_bf,
+    polarity_graph_bf,
+    projective_incidence_graph_bf,
+)
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+# sha256 of repr(adjacency), computed with the O(q^4) dot-product builders.
+FROZEN_ADJACENCY_31 = {
+    projective_incidence_graph: (
+        "cd5fdbcd59d1028e5bfa8bc4db08b4080eaef8fdfa470c7814397c57a85d73c1"
+    ),
+    polarity_graph: (
+        "b2a6ef5dcad55b568dec753c0bb0be73d0f4f29e1ae6c952e8ebe9ad455d33aa"
+    ),
+}
 
 
 def girth(g):
@@ -37,6 +55,19 @@ def girth(g):
     return best
 
 
+def shares_two_neighbors(g):
+    """True iff some two vertices have two common neighbors, i.e. ``g``
+    contains a 4-cycle. Each vertex marks every pair of its neighbors, so
+    this is O(n * d^2) and runs where ``is_c4_free_bf`` cannot."""
+    seen = set()
+    for nbrs in g.adjacency:
+        for pair in combinations(nbrs, 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
+    return False
+
+
 @pytest.mark.parametrize("q,n,d", [(2, 14, 3), (3, 26, 4), (5, 62, 6)])
 def test_projective_incidence_structure(q, n, d):
     g = projective_incidence_graph(q)
@@ -46,6 +77,35 @@ def test_projective_incidence_structure(q, n, d):
     assert degree_profile(g) == (d, d, True)
     assert enumerate_triangles(g) == ()
     assert is_c4_free_bf(g, limit=g.n)
+
+
+def test_projective_incidence_structure_q31():
+    g = projective_incidence_graph(31)
+    validate_graph(g)
+    assert (g.n, g.m) == (1986, 31776)
+    assert degree_profile(g) == (32, 32, True)
+    assert enumerate_triangles(g) == ()
+    assert not shares_two_neighbors(g)
+
+
+def test_shares_two_neighbors_finds_four_cycles(petersen):
+    assert shares_two_neighbors(named_fixture("cycle-4"))
+    assert shares_two_neighbors(named_fixture("complete-bipartite-2-3"))
+    assert not shares_two_neighbors(petersen)
+    assert not shares_two_neighbors(named_fixture("cycle-5"))
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
+def test_projective_families_match_dot_product_twins(q):
+    fast, slow = projective_incidence_graph(q), projective_incidence_graph_bf(q)
+    assert fast.adjacency == slow.adjacency
+    assert polarity_graph(q).adjacency == polarity_graph_bf(q).adjacency
+
+
+@pytest.mark.parametrize("build", list(FROZEN_ADJACENCY_31), ids=lambda f: f.__name__)
+def test_frozen_adjacency_q31(build):
+    digest = hashlib.sha256(repr(build(31).adjacency).encode()).hexdigest()
+    assert digest == FROZEN_ADJACENCY_31[build]
 
 
 def test_projective_incidence_girth_six():
@@ -75,6 +135,15 @@ def test_polarity_structure(q):
     assert degrees[q] == q + 1  # self-orthogonal points
     assert degrees[q + 1] == g.n - (q + 1)
     assert is_c4_free_bf(g, limit=g.n)
+
+
+def test_polarity_structure_q31():
+    g = polarity_graph(31)
+    validate_graph(g)
+    assert g.n == 993
+    degrees = Counter(g.degree(v) for v in range(g.n))
+    assert degrees == {31: 32, 32: 961}
+    assert not shares_two_neighbors(g)
 
 
 def test_random_regular_basic():

@@ -178,6 +178,15 @@ def test_contract_rejects_invalid(c6):
         contract_matching(c6, [(6, 7)])
 
 
+def test_pull_back_rejects_out_of_range(c6):
+    cg = contract_matching(c6, [(0, 1), (3, 4)])
+    assert pull_back_matching(cg, [1]) == ((3, 4),)
+    with pytest.raises(ValueError, match=r"vertex -1 out of range for n=2"):
+        pull_back_matching(cg, [-1])  # -1 must not alias vertex 1
+    with pytest.raises(ValueError, match=r"vertex 2 out of range for n=2"):
+        pull_back_matching(cg, [2])
+
+
 def test_contract_degree_bound():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=12):
         _, d, _ = degree_profile(g)
