@@ -9,6 +9,7 @@ with an old-to-new vertex map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -71,13 +72,15 @@ class Graph:
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        forward = [frozenset(w for w in adjacency[v] if pos[w] > pos[v]) for v in range(n)]
+        forward = [[w for w in adjacency[v] if pos[w] > pos[v]] for v in range(n)]
         triangles: list[Triangle] = []
         for u in range(n):
             fu = forward[u]
+            if len(fu) < 2:  # u is the lowest-rank vertex of its triangles
+                continue
+            later = set(fu)
             for v in fu:
-                common = fu & forward[v]
-                for w in common:
+                for w in later.intersection(forward[v]):
                     a, b, c = sorted((u, v, w))
                     triangles.append((a, b, c))
         triangles.sort()
@@ -159,16 +162,16 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by ``vertices`` plus the old-to-new vertex map.
 
-    New labels follow the sorted order of the selected vertices.
+    New labels follow the sorted order of the selected vertices. A selected
+    vertex outside ``[0, n)`` raises ``ValueError`` naming the smallest one.
     """
     chosen = sorted(set(vertices))
-    for v in chosen:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    mapping = {old: new for new, old in enumerate(chosen)}
-    adjacency = tuple(
-        tuple(mapping[w] for w in g.adjacency[old] if w in mapping) for old in chosen
-    )
+    if chosen and (chosen[0] < 0 or chosen[-1] >= g.n):
+        bad = chosen[0] if chosen[0] < 0 else chosen[bisect_left(chosen, g.n)]
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    mapping = dict(zip(chosen, range(len(chosen))))
+    get, has, rows = mapping.__getitem__, mapping.__contains__, g.adjacency
+    adjacency = tuple([tuple(map(get, filter(has, rows[old]))) for old in chosen])
     return Graph(len(chosen), adjacency), mapping
 
 
@@ -228,9 +231,9 @@ def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
     if owner is None:
         return False
     # each endpoint's only matched neighbor is its partner
-    endpoints, adjacency = owner.keys(), g.adjacency
+    endpoints, adjacency = set(owner), g.adjacency
     for v in owner:
-        if len(endpoints & adjacency[v]) != 1:
+        if len(endpoints.intersection(adjacency[v])) != 1:
             return False
     return True
 

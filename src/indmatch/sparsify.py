@@ -156,7 +156,8 @@ def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"probability must be in [0, 1], got {p}")
-    return frozenset(v for v in range(g.n) if rng.random() < p)
+    draw = rng.random
+    return frozenset([v for v in range(g.n) if draw() < p])
 
 
 def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
@@ -165,12 +166,17 @@ def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
 
     The canonical triangle list is processed once; from each still-alive
     triangle the endpoint of highest current degree goes (lowest id on
-    ties), which empirically preserves the most vertices.
+    ties), which empirically preserves the most vertices. A triangle-free
+    ``g`` is returned itself, with no removed vertices and the identity
+    map, so its cached triangles carry over to the remainder.
     """
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return g, frozenset(), {v: v for v in range(g.n)}
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
     removed = []
-    for a, b, c in enumerate_triangles(g):
+    for a, b, c in triangles:
         if alive[a] and alive[b] and alive[c]:
             victim = min((-deg[v], v) for v in (a, b, c))[1]
             alive[victim] = False

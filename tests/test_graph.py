@@ -121,6 +121,28 @@ def test_induced_subgraph_edge_membership(g):
     assert sub.m == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_induced_subgraph_matches_edge_list_twin(g, data):
+    keep = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    sub, mapping = induced_subgraph(g, keep)
+    chosen = sorted(keep)
+    twin_map = {old: new for new, old in enumerate(chosen)}
+    twin = from_edge_list(
+        len(chosen),
+        ((twin_map[u], twin_map[v]) for u, v in g.edges() if u in keep and v in keep),
+    )
+    assert mapping == twin_map
+    assert sub.adjacency == twin.adjacency
+
+
+def test_induced_subgraph_rejects_out_of_range(c6):
+    with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=6$"):
+        induced_subgraph(c6, [-1, 7])
+    with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
+        induced_subgraph(c6, [2, 6, 9])
+
+
 def test_has_edge_out_of_range_ids(c6):
     assert c6.has_edge(0, 5) and c6.has_edge(5, 0)
     # -1 must not alias vertex 5, and 6 must not raise

@@ -193,11 +193,22 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     assert sizes == [quotient_n]  # once, in the deterministic stage
     assert prep.contracted_triangles == len(prep.triangles) > 0
     sizes.clear()
+    found = []  # sparsify results, for the per-attempt triangle counts
+
+    def recording(*args, _original=pipeline.sparsify_independent_set):
+        found.append(_original(*args))
+        return found[-1]
+
+    monkeypatch.setattr(pipeline, "sparsify_independent_set", recording)
     results = [run_prepared(prep, seed) for seed in range(5)]
     assert not any(r.stats.bypassed for r in results)  # sampled path
-    # each attempt enumerates its sample once, and the passing attempt its
-    # triangle-free remainder (the greedy pass's guard); never the quotient
-    assert len(sizes) == sum(r.stats.attempts + 1 for r in results)
+    # each attempt enumerates its sample once; the passing attempt enumerates
+    # its remainder (the greedy pass's guard) only when breaking removed a
+    # vertex, since a triangle-free sample is its own remainder. Never the
+    # quotient.
+    passing_with_triangles = sum(f.attempt_stats[-1].triangles > 0 for f in found)
+    assert len(sizes) == sum(f.attempts for f in found) + passing_with_triangles
+    assert passing_with_triangles == 0  # q=13, seeds 0-4: triangle-free samples
     assert quotient_n not in sizes
 
 

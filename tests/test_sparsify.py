@@ -77,6 +77,24 @@ def test_sample_vertices_binomial_mean():
     assert abs(mean - g.n * p) <= 3 * sigma
 
 
+@pytest.mark.parametrize("p", [0.0, 0.0227, 0.5, 1.0])
+def test_sample_vertices_one_draw_per_vertex_in_order(p):
+    g = random_regular(984, 0, 0)  # edgeless, only the vertex count matters
+    rng, ref = random.Random(mix64(5, 0)), random.Random(mix64(5, 0))
+    assert sample_vertices(g, p, rng) == {v for v in range(g.n) if ref.random() < p}
+    assert rng.getstate() == ref.getstate()  # exactly n draws consumed
+
+
+def test_break_triangles_returns_input_when_triangle_free(petersen):
+    for g in (petersen, projective_incidence_graph(5)):
+        rem, removed, mapping = break_triangles(g)
+        assert rem is g
+        assert removed == frozenset()
+        assert mapping == {v: v for v in range(g.n)}
+    tri = named_fixture("complete-3")
+    assert break_triangles(tri)[0] is not tri
+
+
 def test_break_triangles_examples(petersen):
     tri = named_fixture("complete-3")
     rem, removed, mapping = break_triangles(tri)
