@@ -2,9 +2,9 @@
 
 Vertices are dense integers ``0..n-1`` and adjacency is kept as sorted
 tuples, which makes triangle enumeration by neighbor intersection cheap and
-lets graph values be shared freely across threads. All "mutation" style
-operations (induced subgraphs, vertex deletion) return new graphs together
-with an old-to-new vertex map.
+lets graph values be shared freely across threads. An induced subgraph is
+a new graph together with its kept vertices; vertex deletion elsewhere is a
+mask over the unchanged graph.
 """
 
 from __future__ import annotations
@@ -159,10 +159,9 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     return g.triangles
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``vertices`` plus the old-to-new vertex map.
-
-    New labels follow the sorted order of the selected vertices. A selected
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced by ``vertices`` plus ``kept``, the selected vertices
+    sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected
     vertex outside ``[0, n)`` raises ``ValueError`` naming the smallest one.
     """
     chosen = sorted(set(vertices))
@@ -172,7 +171,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     mapping = dict(zip(chosen, range(len(chosen))))
     get, has, rows = mapping.__getitem__, mapping.__contains__, g.adjacency
     adjacency = tuple([tuple(map(get, filter(has, rows[old]))) for old in chosen])
-    return Graph(len(chosen), adjacency), mapping
+    return Graph(len(chosen), adjacency), tuple(chosen)
 
 
 def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:

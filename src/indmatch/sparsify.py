@@ -1,12 +1,12 @@
 """Independent sets in graphs with few triangles, via randomized sparsification.
 
 The driver keeps each vertex with probability ``p = d**(a-1)`` (``a`` is a
-third of the triangle-budget exponent ``epsilon``), deletes one vertex from
-every surviving triangle, and checks three concentration thresholds; when
-they pass, a min-degree greedy pass on the triangle-free remainder yields
-the independent set, which is pulled back to the input graph. Low-degree
-inputs skip sampling entirely: triangle breaking plus the greedy pass
-already meets the target size there.
+third of the triangle-budget exponent ``epsilon``), marks one vertex of
+every surviving triangle removed, and checks three concentration thresholds;
+when they pass, a min-degree greedy pass over the sample minus that mask
+yields the independent set, which is mapped back to the input graph.
+Low-degree inputs skip sampling entirely: the same masked greedy pass on
+all of ``g`` already meets the target size there.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 from .graph import (
     Graph,
@@ -53,7 +52,7 @@ class AttemptStats:
     index: int
     sampled: int
     triangles: int  # triangles among sampled vertices, before breaking
-    edges: int  # edges of the triangle-free remainder
+    edges: int  # edges of the sample with no endpoint removed by breaking
     outcome: str  # "pass" | "vertex-count" | "triangles" | "edges"
 
 
@@ -160,23 +159,18 @@ def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
     return frozenset([v for v in range(g.n) if draw() < p])
 
 
-def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
-    """Delete one vertex from every triangle; returns the triangle-free
-    remainder, the removed vertices, and the old-to-new map for survivors.
+def break_triangles(g: Graph) -> VertexSet:
+    """Vertices to delete so that ``g`` minus them has no triangle.
 
     The canonical triangle list is processed once; from each still-alive
     triangle the endpoint of highest current degree goes (lowest id on
-    ties), which empirically preserves the most vertices. A triangle-free
-    ``g`` is returned itself, with no removed vertices and the identity
-    map, so its cached triangles carry over to the remainder.
+    ties), which empirically preserves the most vertices. At most one
+    vertex per triangle is removed, none when ``g`` is triangle-free.
     """
-    triangles = enumerate_triangles(g)
-    if not triangles:
-        return g, frozenset(), {v: v for v in range(g.n)}
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
     removed = []
-    for a, b, c in triangles:
+    for a, b, c in enumerate_triangles(g):
         if alive[a] and alive[b] and alive[c]:
             victim = min((-deg[v], v) for v in (a, b, c))[1]
             alive[victim] = False
@@ -184,26 +178,33 @@ def break_triangles(g: Graph) -> tuple[Graph, VertexSet, dict[int, int]]:
             for w in g.adjacency[victim]:
                 if alive[w]:
                     deg[w] -= 1
-    survivors = [v for v in range(g.n) if alive[v]]
-    remainder, mapping = induced_subgraph(g, survivors)
-    return remainder, frozenset(removed), mapping
+    return frozenset(removed)
 
 
-def triangle_free_independent_set(g: Graph) -> VertexSet:
-    """Independent set of a triangle-free graph by min-degree greedy.
+def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) -> VertexSet:
+    """Independent set of ``g`` minus ``removed`` by min-degree greedy.
 
-    Repeatedly takes a minimum-degree vertex (lowest id on ties) and deletes
-    its closed neighborhood. The output always has size at least
-    ``ceil(n / (davg + 1))``; on triangle-free inputs with average degree
-    ``davg >= 2`` it additionally attains
+    The live graph must be triangle-free: no cached triangle of ``g`` may
+    avoid ``removed``. Repeatedly takes a live vertex of minimum live degree
+    (lowest id on ties) and deletes its closed neighborhood. On the live
+    graph the output always has size at least ``ceil(n / (davg + 1))``; with
+    average degree ``davg >= 2`` it additionally attains
     ``SHEARER_CONSTANT * n * ln(davg) / davg`` on the whole test corpus
     (the classical Shearer-type scaling).
     """
-    if enumerate_triangles(g):
+    n, adjacency = g.n, g.adjacency
+    bad = [v for v in removed if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"vertex {min(bad)} out of range for n={n}")
+    deg = [len(nbrs) for nbrs in adjacency]
+    alive = [True] * n
+    for v in removed:
+        alive[v] = False
+        for w in adjacency[v]:
+            deg[w] -= 1
+    if any(alive[a] and alive[b] and alive[c] for a, b, c in enumerate_triangles(g)):
         raise ValueError("input graph contains a triangle")
-    deg = [len(nbrs) for nbrs in g.adjacency]
-    alive = [True] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
+    heap = [(deg[v], v) for v in range(n) if alive[v]]
     heapify(heap)
     chosen = []
     while heap:
@@ -212,11 +213,11 @@ def triangle_free_independent_set(g: Graph) -> VertexSet:
             continue
         chosen.append(v)
         alive[v] = False
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if not alive[w]:
                 continue
             alive[w] = False
-            for x in g.adjacency[w]:
+            for x in adjacency[w]:
                 if alive[x]:
                     deg[x] -= 1
                     heappush(heap, (deg[x], x))
@@ -231,11 +232,6 @@ class IndependentSetResult:
     attempts: int  # sampling attempts consumed (0 on the low-degree path)
     attempt_stats: tuple[AttemptStats, ...]
     bypassed: bool  # low-degree path: no sampling
-
-
-def _compose(outer: dict[int, int], chosen: Iterable[int]) -> set[int]:
-    inverse = {new: old for old, new in outer.items()}
-    return {inverse[v] for v in chosen}
 
 
 def sparsify_independent_set(
@@ -266,10 +262,8 @@ def sparsify_independent_set(
         raise TriangleBudgetExceeded(len(triangles), budget)
 
     if dmax <= params.degree_cutoff:
-        remainder, _, mapping = break_triangles(g)
-        chosen = triangle_free_independent_set(remainder)
         return IndependentSetResult(
-            vertices=frozenset(_compose(mapping, chosen)),
+            vertices=triangle_free_independent_set(g, break_triangles(g)),
             attempts=0,
             attempt_stats=(),
             bypassed=True,
@@ -280,15 +274,19 @@ def sparsify_independent_set(
     for index in range(params.max_retries):
         rng = random.Random(mix64(seed, index))
         sampled = sample_vertices(g, params.p, rng)
-        subgraph, sub_map = induced_subgraph(g, sampled)
+        subgraph, kept = induced_subgraph(g, sampled)
         sub_triangles = enumerate_triangles(subgraph)
-        remainder, _, break_map = break_triangles(subgraph)
+        removed = break_triangles(subgraph)
+        rows = subgraph.adjacency
+        edges = subgraph.m - sum(
+            1 for v in removed for w in rows[v] if w not in removed or w > v
+        )
 
         if not thresholds.v_lo <= len(sampled) <= thresholds.v_hi:
             outcome = "vertex-count"
         elif len(sub_triangles) > thresholds.tri_max:
             outcome = "triangles"
-        elif remainder.m > thresholds.edge_max:
+        elif edges > thresholds.edge_max:
             outcome = "edges"
         else:
             outcome = "pass"
@@ -296,18 +294,16 @@ def sparsify_independent_set(
             index=index,
             sampled=len(sampled),
             triangles=len(sub_triangles),
-            edges=remainder.m,
+            edges=edges,
             outcome=outcome,
         )
         trail.append(stats)
         if outcome != "pass":
             continue
 
-        chosen = triangle_free_independent_set(remainder)
-        in_subgraph = _compose(break_map, chosen)
-        original = _compose(sub_map, in_subgraph)
+        chosen = triangle_free_independent_set(subgraph, removed)
         return IndependentSetResult(
-            vertices=frozenset(original),
+            vertices=frozenset([kept[v] for v in chosen]),
             attempts=index + 1,
             attempt_stats=tuple(trail),
             bypassed=False,

@@ -202,14 +202,28 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     monkeypatch.setattr(pipeline, "sparsify_independent_set", recording)
     results = [run_prepared(prep, seed) for seed in range(5)]
     assert not any(r.stats.bypassed for r in results)  # sampled path
-    # each attempt enumerates its sample once; the passing attempt enumerates
-    # its remainder (the greedy pass's guard) only when breaking removed a
-    # vertex, since a triangle-free sample is its own remainder. Never the
-    # quotient.
-    passing_with_triangles = sum(f.attempt_stats[-1].triangles > 0 for f in found)
-    assert len(sizes) == sum(f.attempts for f in found) + passing_with_triangles
-    assert passing_with_triangles == 0  # q=13, seeds 0-4: triangle-free samples
+    # each attempt enumerates its sample exactly once: breaking and the
+    # greedy pass's guard read that cache. Never the quotient.
+    assert len(sizes) == sum(f.attempts for f in found)
     assert quotient_n not in sizes
+
+
+def test_bypass_run_enumerates_no_triangles(monkeypatch):
+    enumerated = []  # every graph whose triangles are enumerated
+    enumerate_once = Graph.triangles.func
+
+    def counting(g):
+        enumerated.append(g)
+        return enumerate_once(g)
+
+    monkeypatch.setattr(Graph.triangles, "func", counting)
+    prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
+    assert (prep.contracted.graph.n, prep.contracted_triangles) == (881, 15)
+    enumerated.clear()
+    result = run_prepared(prep, 0)
+    assert result.stats.bypassed and result.certificate is True
+    # breaking and the greedy guard read the quotient's cached triangles
+    assert enumerated == []
 
 
 def test_pipeline_builds_no_neighbor_sets(monkeypatch):

@@ -3,11 +3,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmatch import (
     break_triangles,
     degree_profile,
     enumerate_triangles,
+    induced_subgraph,
     is_independent_set,
     named_fixture,
     projective_incidence_graph,
@@ -87,35 +89,28 @@ def test_sample_vertices_one_draw_per_vertex_in_order(p):
 
 def test_break_triangles_returns_input_when_triangle_free(petersen):
     for g in (petersen, projective_incidence_graph(5)):
-        rem, removed, mapping = break_triangles(g)
-        assert rem is g
-        assert removed == frozenset()
-        assert mapping == {v: v for v in range(g.n)}
-    tri = named_fixture("complete-3")
-    assert break_triangles(tri)[0] is not tri
+        assert break_triangles(g) == frozenset()
+    assert len(break_triangles(named_fixture("complete-3"))) == 1
 
 
 def test_break_triangles_examples(petersen):
     tri = named_fixture("complete-3")
-    rem, removed, mapping = break_triangles(tri)
-    assert rem.n == 2 and len(removed) == 1
-    rem_p, removed_p, _ = break_triangles(petersen)
-    assert removed_p == frozenset() and rem_p.n == 10
-    rem_k4, _, _ = break_triangles(named_fixture("complete-4"))
-    assert rem_k4.n <= 2
-    assert enumerate_triangles(rem_k4) == ()
+    removed = break_triangles(tri)
+    assert len(removed) == 1 and tri.n - len(removed) == 2
+    assert break_triangles(petersen) == frozenset()
+    k4 = named_fixture("complete-4")
+    removed_k4 = break_triangles(k4)
+    assert k4.n - len(removed_k4) <= 2
+    assert all(set(t) & removed_k4 for t in enumerate_triangles(k4))
 
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=12))
 def test_break_triangles_always_triangle_free(g):
-    rem, removed, mapping = break_triangles(g)
-    assert enumerate_triangles(rem) == ()
+    removed = break_triangles(g)
+    assert removed <= frozenset(range(g.n))
+    assert all(set(t) & removed for t in enumerate_triangles(g))
     assert len(removed) <= len(enumerate_triangles(g))
-    assert rem.n == g.n - len(removed)
-    inverse = {new: old for old, new in mapping.items()}
-    for u, v in rem.edges():
-        assert g.has_edge(inverse[u], inverse[v])
 
 
 def test_triangle_free_greedy_examples():
@@ -133,17 +128,43 @@ def test_triangle_free_greedy_examples():
 def test_triangle_free_greedy_rejects_triangles():
     with pytest.raises(ValueError, match="triangle"):
         triangle_free_independent_set(named_fixture("complete-3"))
+    k4 = named_fixture("complete-4")
+    with pytest.raises(ValueError, match="triangle"):
+        triangle_free_independent_set(k4, frozenset({2}))
+    assert triangle_free_independent_set(k4, frozenset({0, 3})) == frozenset({1})
+
+
+def test_triangle_free_greedy_rejects_out_of_range_removed():
+    c6 = named_fixture("cycle-6")
+    # -1 must not alias vertex 5 through list indexing
+    with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=6$"):
+        triangle_free_independent_set(c6, frozenset({-1}))
+    with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
+        triangle_free_independent_set(c6, frozenset({6}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_masked_greedy_matches_greedy_on_induced_remainder(g, data):
+    extra = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    removed = break_triangles(g) | extra
+    survivors = [v for v in range(g.n) if v not in removed]
+    remainder, kept = induced_subgraph(g, survivors)
+    expected = {kept[v] for v in triangle_free_independent_set(remainder)}
+    assert triangle_free_independent_set(g, removed) == expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_n=12))
 def test_triangle_free_greedy_turan_floor(g):
-    rem, _, _ = break_triangles(g)
-    found = triangle_free_independent_set(rem)
-    assert is_independent_set(rem, found)
-    if rem.n:
-        davg = 2 * rem.m / rem.n
-        assert len(found) >= math.ceil(rem.n / (davg + 1))
+    removed = break_triangles(g)
+    found = triangle_free_independent_set(g, removed)
+    assert is_independent_set(g, found) and not found & removed
+    n = g.n - len(removed)
+    m = sum(1 for u, v in g.edges() if u not in removed and v not in removed)
+    if n:
+        davg = 2 * m / n
+        assert len(found) >= math.ceil(n / (davg + 1))
 
 
 def test_triangle_free_greedy_log_guarantee_on_corpus():
@@ -154,8 +175,9 @@ def test_triangle_free_greedy_log_guarantee_on_corpus():
     corpus += [named_fixture(f"cycle-{k}") for k in (6, 9, 15)]
     corpus += [named_fixture("complete-bipartite-3-3"), named_fixture("complete-bipartite-7-7")]
     for n, d, s in [(30, 4, 1), (64, 5, 2), (100, 8, 3), (200, 12, 4)]:
-        rem, _, _ = break_triangles(random_regular(n, d, s))
-        corpus.append(rem)
+        g = random_regular(n, d, s)
+        removed = break_triangles(g)
+        corpus.append(induced_subgraph(g, set(range(n)) - removed)[0])
     for g in corpus:
         davg = 2 * g.m / g.n
         if davg < 2:
@@ -204,6 +226,24 @@ def test_sparsify_sampling_path_statistics():
     assert is_independent_set(g, res.vertices)
     for stats in res.attempt_stats[:-1]:
         assert stats.outcome in ("vertex-count", "triangles", "edges")
+
+
+def test_attempt_edges_count_the_remainder():
+    # AttemptStats.edges is the edge count of the sample minus the vertices
+    # breaking removed, computed without building that remainder
+    g = random_regular(120, 12, 3)
+    params = sparsify_params(12, 1.0, degree_cutoff=0, max_retries=8)
+    try:
+        trail = sparsify_independent_set(g, params, seed=4).attempt_stats
+    except RetriesExhausted as err:
+        trail = err.attempts
+    assert any(stats.triangles for stats in trail)
+    for stats in trail:
+        rng = random.Random(mix64(4, stats.index))
+        sub, _ = induced_subgraph(g, sample_vertices(g, params.p, rng))
+        removed = break_triangles(sub)
+        remainder, _ = induced_subgraph(sub, set(range(sub.n)) - removed)
+        assert stats.edges == remainder.m
 
 
 def test_sparsify_deterministic():
