@@ -1,9 +1,10 @@
 """Certified induced matchings in near-regular graphs.
 
-The pipeline extracts a linear-size matching from a proper edge coloring,
-contracts it, finds an independent set of the contraction by randomized
-triangle sparsification, and pulls the set back to an induced matching with
-a verifiable certificate.
+The pipeline takes a matching with at least m/(Δ+1) edges (greedy, with a
+Misra-Gries edge coloring's largest class as fallback), contracts it, finds
+an independent set of the contraction by randomized triangle
+sparsification, and pulls the set back to an induced matching with a
+verifiable certificate.
 """
 
 from .graph import (
@@ -35,6 +36,7 @@ from .matching import (
     EdgeColoring,
     contract_matching,
     extract_matching,
+    greedy_matching,
     is_proper_edge_coloring,
     misra_gries_edge_color,
     pull_back_matching,
@@ -93,6 +95,7 @@ __all__ = [
     "misra_gries_edge_color",
     "is_proper_edge_coloring",
     "extract_matching",
+    "greedy_matching",
     "contract_matching",
     "pull_back_matching",
     "SparsifyParams",

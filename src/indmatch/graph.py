@@ -86,9 +86,6 @@ class Graph:
         triangles.sort()
         return tuple(triangles)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         """False whenever ``u`` or ``v`` lies outside ``[0, n)``. Scans the
         sorted row of ``u``, so no per-vertex set is built."""

@@ -1,10 +1,14 @@
-"""Edge coloring, matching extraction, and matching contraction.
+"""Matchings of linear size, and matching contraction.
 
-A proper edge coloring with at most ``max_degree + 1`` colors always has a
-color class of size ``m / (max_degree + 1)``, which for d-regular graphs is
-the linear-size matching the rest of the pipeline builds on. Contracting a
-matching produces the quotient graph whose independent sets pull back to
-induced matchings of the host.
+The rest of the pipeline builds on a matching with at least
+``m / (max_degree + 1)`` edges, which for d-regular graphs is linear in n.
+:func:`greedy_matching` is an O(m) maximal matching that usually meets
+that bound. A proper edge coloring with at most ``max_degree + 1`` colors
+(:func:`misra_gries_edge_color`) always has a color class of that size
+(Vizing), and :func:`extract_matching` takes it; the pipeline runs these
+two only when the greedy matching is short. Contracting a matching
+produces the quotient graph whose independent sets pull back to induced
+matchings of the host.
 """
 
 from __future__ import annotations
@@ -147,6 +151,25 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
         remap = {col: i for i, col in enumerate(present)}
         colors = {e: remap[col] for e, col in colors.items()}
     return EdgeColoring(colors, num_colors)
+
+
+def greedy_matching(g: Graph) -> Matching:
+    """Lexicographic greedy maximal matching, in one O(m) pass: each
+    unmatched vertex u, in increasing order, takes its lowest unmatched
+    neighbor above u. Equal to keeping each edge of ``sorted(g.edges())``
+    whose ends are both free. Maximal, so it has at least
+    ``m / (2 * max_degree - 1)`` edges, but it can fall short of
+    ``m / (max_degree + 1)``."""
+    free = [True] * g.n
+    chosen: list[Edge] = []
+    for u, row in enumerate(g.adjacency):
+        if free[u]:
+            for v in row:
+                if v > u and free[v]:
+                    free[u] = free[v] = False
+                    chosen.append((u, v))
+                    break
+    return tuple(chosen)
 
 
 def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:

@@ -180,6 +180,18 @@ def is_induced_matching_bf(g: Graph, matching) -> bool:
     return induced == set(edges)
 
 
+def greedy_matching_bf(g: Graph) -> Matching:
+    """Edge-order twin of :func:`indmatch.matching.greedy_matching`: keep
+    each edge of ``sorted(g.edges())`` whose ends are both still free."""
+    matched: set[int] = set()
+    chosen = []
+    for u, v in sorted(g.edges()):
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            chosen.append((u, v))
+    return tuple(chosen)
+
+
 def is_proper_edge_coloring_bf(g: Graph, coloring: EdgeColoring) -> bool:
     """Set-based twin of :func:`indmatch.matching.is_proper_edge_coloring`."""
     if set(coloring.colors) != set(g.edges()):

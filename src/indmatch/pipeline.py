@@ -1,9 +1,10 @@
 """End-to-end certified induced matchings.
 
-The run decomposes into a deterministic stage (edge coloring, largest color
-class, contraction, triangle budget check) and a seeded stage (sparsified
-independent set on the contraction, pull-back, certification). The split is
-exposed so sweeps over seeds can reuse the deterministic part.
+The run decomposes into a deterministic stage (a matching with at least
+m/(Δ+1) edges: greedy, with Misra-Gries as fallback; contraction; triangle
+budget check) and a seeded stage (sparsified independent set on the
+contraction, pull-back, certification). The split is exposed so sweeps over
+seeds can reuse the deterministic part.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .matching import (
     ContractedGraph,
     contract_matching,
     extract_matching,
+    greedy_matching,
     misra_gries_edge_color,
     pull_back_matching,
 )
@@ -78,7 +80,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineStats:
-    match_size: int  # matching extracted from the coloring
+    match_size: int  # the prepared matching: >= m/(Δ+1) edges
     contracted_n: int
     contracted_max_degree: int
     contracted_triangles: int
@@ -100,8 +102,9 @@ class InducedMatchingResult:
 
 @dataclass(frozen=True)
 class PreparedPipeline:
-    """Deterministic prefix of a run: coloring, matching, contraction, and
-    the triangle budget check, all independent of the seed.
+    """Deterministic prefix of a run: a matching with at least m/(Δ+1)
+    edges (greedy, with Misra-Gries as fallback), its contraction, and the
+    triangle budget check, all independent of the seed.
 
     The contraction's graph caches its triangles, enumerated once here, so a
     sweep over seeds pays for the enumeration once.
@@ -131,8 +134,11 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
     _, dmax, _ = degree_profile(graph)
     if dmax == 0:
         raise EmptyMatchingError("input graph has no edges; empty matching")
-    coloring = misra_gries_edge_color(graph)
-    matching = extract_matching(graph, coloring)
+    matching = greedy_matching(graph)
+    if len(matching) * (dmax + 1) < graph.m:
+        # short of Vizing's ceil(m/(Δ+1)); a largest class of a (Δ+1)-edge
+        # coloring meets it
+        matching = extract_matching(graph, misra_gries_edge_color(graph))
     contracted = contract_matching(graph, matching)
     epsilon = config.effective_epsilon()
     _, d_contracted, _ = degree_profile(contracted.graph)
@@ -223,8 +229,9 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
 
 
 def induced_matching(graph: Graph, config: PipelineConfig | None = None) -> InducedMatchingResult:
-    """Full pipeline: color, extract a matching, contract, sparsify, pull
-    back, certify. Deterministic in ``(graph, config, config.seed)``."""
+    """Full pipeline: a matching with at least m/(Δ+1) edges (greedy, with
+    Misra-Gries as fallback), contract, sparsify, pull back, certify.
+    Deterministic in ``(graph, config, config.seed)``."""
     config = config or PipelineConfig()
     prep = prepare_pipeline(graph, config)
     return run_prepared(prep, config.seed)

@@ -149,10 +149,14 @@ def test_criterion_3_matching_guarantee(corpus):
         lo, d, regular = degree_profile(g)
         if not regular or d == 0:
             continue
+        bound = math.ceil(g.n * d / (2 * (d + 1)))
         coloring = misra_gries_edge_color(g)
         assert coloring.num_colors <= d + 1, name
         matching = extract_matching(g, coloring)
-        assert len(matching) >= math.ceil(g.n * d / (2 * (d + 1))), name
+        assert len(matching) >= bound, name
+        # the pipeline's own matching: greedy, or the colorer's when short
+        prepared = prepare_pipeline(g, PipelineConfig()).matching
+        assert len(prepared) >= bound, name
         checked += 1
     assert checked >= 450
     print(f"\nACCEPTANCE 3 (matching guarantee): PASS - {checked} regular graphs")

@@ -10,6 +10,7 @@ from indmatch import (
     degree_profile,
     enumerate_triangles,
     extract_matching,
+    greedy_matching,
     is_induced_matching,
     is_proper_edge_coloring,
     is_independent_set,
@@ -23,7 +24,7 @@ from indmatch import (
 )
 from indmatch import graph as graph_module, matching as matching_module
 from indmatch.matching import EdgeColoring
-from indmatch.oracle import max_independent_set_bf
+from indmatch.oracle import greedy_matching_bf, max_independent_set_bf
 
 from conftest import graphs, regular_corpus
 
@@ -153,6 +154,15 @@ def test_regular_matching_guarantee():
         matching = extract_matching(g, coloring)
         assert len(matching) >= math.ceil(g.n * d / (2 * (d + 1))), name
         assert len(matching) >= math.ceil(g.n / 4), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_greedy_matching_matches_twin_and_is_maximal(g):
+    matching = greedy_matching(g)
+    assert matching == greedy_matching_bf(g)
+    matched = {v for e in matching for v in e}
+    assert all(u in matched or v in matched for u, v in g.edges())
 
 
 def test_contract_examples(c6):

@@ -4,16 +4,20 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from indmatch import (
     EmptyMatchingError,
     Graph,
     PipelineConfig,
     degree_profile,
+    extract_matching,
+    from_edge_list,
     greedy_induced_matching,
     induced_matching,
     is_induced_matching,
+    is_matching,
+    misra_gries_edge_color,
     named_fixture,
     prepare_pipeline,
     projective_incidence_graph,
@@ -25,6 +29,7 @@ from indmatch import (
 from indmatch import pipeline
 from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
+from indmatch.seeds import mix64
 from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
 
 from conftest import graphs, regular_corpus, subprocess_env
@@ -208,6 +213,43 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     assert quotient_n not in sizes
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+# K4 minus an edge: the greedy pass takes (0, 1) only, short of ceil(5/4) = 2
+@example(from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+def test_prepared_matching_meets_vizing_bound(g):
+    # irregular graphs included: the greedy matching or, when it is short,
+    # the colorer's largest class has at least ceil(m/(Δ+1)) edges
+    _, dmax, _ = degree_profile(g)
+    if dmax == 0:
+        return
+    matching = prepare_pipeline(g, PipelineConfig()).matching
+    assert is_matching(matching)
+    assert all(g.has_edge(u, v) for u, v in matching)
+    assert len(matching) >= math.ceil(g.m / (dmax + 1))
+
+
+def test_prepared_matching_falls_back_to_coloring():
+    g = random_regular(8, 4, mix64(2024, 8, 4, 1))
+    assert len(pipeline.greedy_matching(g)) == 3  # ceil(16 / 5) = 4
+    prep = prepare_pipeline(g, PipelineConfig())
+    assert prep.matching == extract_matching(g, misra_gries_edge_color(g))
+
+
+def test_greedy_matching_suffices_on_benchmark_graphs(monkeypatch):
+    calls = []
+
+    def counting(g, _original=pipeline.misra_gries_edge_color):
+        calls.append(g)
+        return _original(g)
+
+    monkeypatch.setattr(pipeline, "misra_gries_edge_color", counting)
+    for g in (projective_incidence_graph(13), random_regular(2000, 4, 1)):
+        prep = prepare_pipeline(g, PipelineConfig())
+        assert prep.matching == pipeline.greedy_matching(g)
+    assert calls == []
+
+
 def test_bypass_run_enumerates_no_triangles(monkeypatch):
     enumerated = []  # every graph whose triangles are enumerated
     enumerate_once = Graph.triangles.func
@@ -218,7 +260,7 @@ def test_bypass_run_enumerates_no_triangles(monkeypatch):
 
     monkeypatch.setattr(Graph.triangles, "func", counting)
     prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
-    assert (prep.contracted.graph.n, prep.contracted_triangles) == (881, 15)
+    assert (prep.contracted.graph.n, prep.contracted_triangles) == (888, 15)
     enumerated.clear()
     result = run_prepared(prep, 0)
     assert result.stats.bypassed and result.certificate is True
@@ -257,13 +299,13 @@ def test_frozen_certificates():
     sampled = [(seed, run_prepared(prep, seed)) for seed in range(50)]
     assert not any(r.stats.bypassed for _, r in sampled)
     assert _certificates_digest(sampled) == (
-        "6f20218a9c34ff980fb24c4fa2c97cdb76e212cca7874da1ecbd5bd8e1242c44"
+        "bd6fc0ca2cd116c819b88a1fe108e54b19d2a0654f3cd589a0a8aac9fa607bc6"
     )
     prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
     bypass = run_prepared(prep, 0)
     assert bypass.stats.bypassed
     assert _certificates_digest([(0, bypass)]) == (
-        "8017a41a20cca4bf2dde424ef0aef8951cf9524c558fff3598d3dabbd4e68d1e"
+        "fde14032c85729b284b379e6fe5b394c86e06bad8aaaa92e8b653e95973b16e2"
     )
 
 
