@@ -45,12 +45,10 @@ from .sparsify import (
     AttemptStats,
     IndependentSetResult,
     RetriesExhausted,
-    SparsifyParams,
     TriangleBudgetExceeded,
     break_triangles,
     sample_vertices,
     sparsify_independent_set,
-    sparsify_params,
     triangle_budget,
     triangle_free_independent_set,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "greedy_matching",
     "contract_matching",
     "pull_back_matching",
-    "SparsifyParams",
-    "sparsify_params",
     "sample_vertices",
     "break_triangles",
     "triangle_free_independent_set",

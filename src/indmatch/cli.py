@@ -78,16 +78,19 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--B", type=int, default=2, help="forbidden K_{B,B} parameter")
+    # defaults come from PipelineConfig, so the CLI and the library agree
+    parser.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    parser.add_argument("--B", type=int, default=PipelineConfig.B, help="forbidden K_{B,B} parameter")
     parser.add_argument(
         "--epsilon",
         type=float,
         default=None,
         help="triangle-budget exponent; default derives 1/(2B)",
     )
-    parser.add_argument("--d0", type=int, default=16, help="degree cutoff that skips sampling")
-    parser.add_argument("--max-retries", type=int, default=50)
+    parser.add_argument(
+        "--d0", type=int, default=PipelineConfig.degree_cutoff, help="degree cutoff that skips sampling"
+    )
+    parser.add_argument("--max-retries", type=int, default=PipelineConfig.max_retries)
     parser.add_argument("--greedy-fallback", action="store_true")
 
 

@@ -35,7 +35,6 @@ from .sparsify import (
     TriangleBudgetExceeded,
     check_run_limits,
     sparsify_independent_set,
-    sparsify_params,
     triangle_budget,
 )
 
@@ -114,10 +113,19 @@ class PreparedPipeline:
     config: PipelineConfig
     matching: Matching
     contracted: ContractedGraph
-    epsilon: float
-    contracted_max_degree: int
     budget: float
-    matching_below_quarter: bool
+
+    @property
+    def epsilon(self) -> float:
+        return self.config.effective_epsilon()
+
+    @property
+    def contracted_max_degree(self) -> int:
+        return degree_profile(self.contracted.graph)[1]
+
+    @property
+    def matching_below_quarter(self) -> bool:
+        return len(self.matching) < math.ceil(self.graph.n / 4)
 
     @property
     def triangles(self) -> tuple[Triangle, ...]:
@@ -151,10 +159,7 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         config=config,
         matching=matching,
         contracted=contracted,
-        epsilon=epsilon,
-        contracted_max_degree=d_contracted,
         budget=budget,
-        matching_below_quarter=len(matching) < math.ceil(graph.n / 4),
     )
 
 
@@ -183,15 +188,15 @@ def greedy_induced_matching(graph: Graph) -> Matching:
 
 def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     config = prep.config
-    params = sparsify_params(
-        d=max(1, prep.contracted_max_degree),
-        epsilon=prep.epsilon,
-        degree_cutoff=config.degree_cutoff,
-        max_retries=config.max_retries,
-    )
     fallback_used = False
     try:
-        found = sparsify_independent_set(prep.contracted.graph, params, seed)
+        found = sparsify_independent_set(
+            prep.contracted.graph,
+            prep.epsilon,
+            seed,
+            degree_cutoff=config.degree_cutoff,
+            max_retries=config.max_retries,
+        )
         matching = pull_back_matching(prep.contracted, found.vertices)
         attempts = found.attempts
         bypassed = found.bypassed
@@ -199,7 +204,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         if not config.greedy_fallback:
             raise
         matching = greedy_induced_matching(prep.graph)
-        attempts = params.max_retries
+        attempts = config.max_retries
         bypassed = False
         fallback_used = True
 

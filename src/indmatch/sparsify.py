@@ -1,10 +1,12 @@
 """Independent sets in graphs with few triangles, via randomized sparsification.
 
-The driver keeps each vertex with probability ``p = d**(a-1)`` (``a`` is a
-third of the triangle-budget exponent ``epsilon``), marks one vertex of
-every surviving triangle removed, and checks three concentration thresholds;
-when they pass, a min-degree greedy pass over the sample minus that mask
-yields the independent set, which is mapped back to the input graph.
+The driver keeps each vertex with probability ``p = d**(epsilon/3 - 1)``,
+where ``epsilon`` is the triangle-budget exponent and ``d`` is read from
+the input graph as its max degree, as are ``n`` and ``d`` in the thresholds.
+It marks one vertex of every surviving triangle removed, and checks three
+concentration thresholds; when they pass, a min-degree greedy pass over the
+sample minus that mask yields the independent set, which is mapped back to
+the input graph.
 Low-degree inputs skip sampling entirely: the same masked greedy pass on
 all of ``g`` already meets the target size there.
 """
@@ -68,75 +70,15 @@ class RetriesExhausted(RuntimeError):
 
 def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> float:
     """Largest triangle count the sparsification stage tolerates:
-    ``n * d**(2 - epsilon)``."""
+    ``n * d**(2 - epsilon)``, and 0 for an edgeless graph when
+    ``epsilon > 2``, where that power is undefined."""
     if n_contracted < 0 or d_contracted < 0:
         raise ValueError("sizes must be nonnegative")
     if not 0 < epsilon < 3:
         raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
+    if d_contracted == 0 and epsilon > 2:
+        return 0.0  # no edges, so no triangles
     return n_contracted * float(d_contracted) ** (2 - epsilon)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    v_lo: float  # n*p/2
-    v_hi: float  # 3*n*p/2
-    tri_max: float  # n*p/4
-    edge_max: float  # 5*n*d*p*p
-
-
-@dataclass(frozen=True)
-class SparsifyParams:
-    """Parameter bundle for :func:`sparsify_independent_set`.
-
-    ``a = epsilon / 3`` and ``p = d ** (a - 1)`` exactly; the acceptance
-    thresholds depend on the input size and are produced by
-    :meth:`thresholds_for`.
-    """
-
-    d: int
-    epsilon: float
-    a: float
-    p: float
-    degree_cutoff: int
-    max_retries: int
-
-    def thresholds_for(self, n: int) -> Thresholds:
-        np_ = n * self.p
-        return Thresholds(
-            v_lo=np_ / 2,
-            v_hi=3 * np_ / 2,
-            tri_max=np_ / 4,
-            edge_max=5 * n * self.d * self.p * self.p,
-        )
-
-
-def sparsify_params(
-    d: int,
-    epsilon: float,
-    degree_cutoff: int | None = None,
-    max_retries: int | None = None,
-) -> SparsifyParams:
-    """Build the parameter bundle: ``a = epsilon/3``, ``p = d**(a-1)``.
-
-    ``epsilon`` must lie in the open interval (0, 3) so that ``p <= 1`` and
-    the triangle budget ``n * d**(2-epsilon)`` stays meaningful.
-    """
-    if d < 1:
-        raise ValueError(f"max degree must be >= 1, got {d}")
-    if not 0 < epsilon < 3:
-        raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
-    degree_cutoff = DEFAULT_DEGREE_CUTOFF if degree_cutoff is None else degree_cutoff
-    max_retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
-    check_run_limits(degree_cutoff, max_retries)
-    a = epsilon / 3
-    return SparsifyParams(
-        d=d,
-        epsilon=epsilon,
-        a=a,
-        p=float(d) ** (a - 1),
-        degree_cutoff=degree_cutoff,
-        max_retries=max_retries,
-    )
 
 
 def check_run_limits(degree_cutoff: int, max_retries: int) -> None:
@@ -235,33 +177,35 @@ class IndependentSetResult:
 
 
 def sparsify_independent_set(
-    g: Graph, params: SparsifyParams, seed: int = 0
+    g: Graph,
+    epsilon: float,
+    seed: int = 0,
+    degree_cutoff: int = DEFAULT_DEGREE_CUTOFF,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> IndependentSetResult:
     """Find an independent set of ``g`` under a triangle budget.
 
-    Preconditions: ``params.d`` is at least the max degree of ``g`` (the
-    pipeline passes the exact degree) and the triangle count is at most
-    ``n * params.d**(2 - epsilon)``, else :class:`TriangleBudgetExceeded`.
+    ``epsilon`` lies in the open interval (0, 3), so that ``p <= 1``. With
+    ``d`` the max degree of ``g``, the triangle count must be at most
+    ``n * d**(2 - epsilon)``, else :class:`TriangleBudgetExceeded`.
 
-    When the max degree is at most ``params.degree_cutoff`` the sampling
-    stage is skipped: triangles are broken directly and the greedy pass runs
-    on all of ``g``. Otherwise up to ``max_retries`` attempts run, each on
-    the sub-seed ``mix64(seed, index)``, and the first attempt to pass all
-    three thresholds produces the result; attempts are independent, so they
-    could run concurrently with the same first-pass selection rule. Raises
+    When ``d`` is at most ``degree_cutoff`` the sampling stage is skipped:
+    triangles are broken directly and the greedy pass runs on all of ``g``.
+    Otherwise each vertex is kept with probability ``p = d**(epsilon/3 - 1)``
+    in up to ``max_retries`` attempts, each on the sub-seed
+    ``mix64(seed, index)``, and the first attempt to pass all three
+    thresholds produces the result; attempts are independent, so they could
+    run concurrently with the same first-pass selection rule. Raises
     :class:`RetriesExhausted` (with the audit trail) if none passes.
     """
-    _, dmax, _ = degree_profile(g)
-    if params.d < dmax:
-        raise ValueError(
-            f"params built for max degree {params.d} but graph has {dmax}"
-        )
+    check_run_limits(degree_cutoff, max_retries)
+    _, d, _ = degree_profile(g)
+    budget = triangle_budget(g.n, d, epsilon)
     triangles = enumerate_triangles(g)
-    budget = triangle_budget(g.n, params.d, params.epsilon)
     if len(triangles) > budget:
         raise TriangleBudgetExceeded(len(triangles), budget)
 
-    if dmax <= params.degree_cutoff:
+    if d <= degree_cutoff:
         return IndependentSetResult(
             vertices=triangle_free_independent_set(g, break_triangles(g)),
             attempts=0,
@@ -269,11 +213,12 @@ def sparsify_independent_set(
             bypassed=True,
         )
 
-    thresholds = params.thresholds_for(g.n)
+    p = float(d) ** (epsilon / 3 - 1)
+    np_ = g.n * p
     trail: list[AttemptStats] = []
-    for index in range(params.max_retries):
+    for index in range(max_retries):
         rng = random.Random(mix64(seed, index))
-        sampled = sample_vertices(g, params.p, rng)
+        sampled = sample_vertices(g, p, rng)
         subgraph, kept = induced_subgraph(g, sampled)
         sub_triangles = enumerate_triangles(subgraph)
         removed = break_triangles(subgraph)
@@ -282,11 +227,11 @@ def sparsify_independent_set(
             1 for v in removed for w in rows[v] if w not in removed or w > v
         )
 
-        if not thresholds.v_lo <= len(sampled) <= thresholds.v_hi:
+        if not np_ / 2 <= len(sampled) <= 3 * np_ / 2:
             outcome = "vertex-count"
-        elif len(sub_triangles) > thresholds.tri_max:
+        elif len(sub_triangles) > np_ / 4:
             outcome = "triangles"
-        elif edges > thresholds.edge_max:
+        elif edges > 5 * g.n * d * p * p:
             outcome = "edges"
         else:
             outcome = "pass"

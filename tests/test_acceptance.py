@@ -28,7 +28,6 @@ from indmatch import (
     random_regular,
     run_prepared,
     sample_vertices,
-    sparsify_params,
     triangle_budget,
     verify_certificate,
     write_edge_list,
@@ -191,8 +190,7 @@ def test_criterion_4_threshold_statistics():
 
 def test_criterion_5_sampling_statistics():
     g = random_regular(10_000, 20, seed=20_260_810)
-    params = sparsify_params(20, 1.5)
-    p = params.p
+    p = 20 ** (1.5 / 3 - 1)  # d**(eps/3 - 1), as sparsify_independent_set draws
     assert p == pytest.approx(20 ** -0.5)
     expectation = g.n * p
     sigma = math.sqrt(g.n * p * (1 - p))

@@ -3,8 +3,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from indmatch import named_fixture, projective_incidence_graph, write_edge_list
-from indmatch.cli import CSV_HEADER, main
+from indmatch import PipelineConfig, named_fixture, projective_incidence_graph, write_edge_list
+from indmatch.cli import CSV_HEADER, _pipeline_config, build_parser, main
 
 
 def run_cli(*argv):
@@ -75,6 +75,25 @@ def test_run_then_verify_roundtrip(tmp_path):
     code, out, _ = run_cli("verify", str(graph_file), str(cert_file))
     assert code == 0
     assert out.strip() == "valid"
+
+
+def test_run_edgeless_quotient_above_epsilon_two(tmp_path):
+    # K_{1,3}: the matching is one edge, so the quotient is a single vertex
+    # with no edges, and its triangle budget is n * 0**(2 - epsilon)
+    graph_file = tmp_path / "star.txt"
+    graph_file.write_text("4 3\n0 1\n0 2\n0 3\n")
+    cert_file = tmp_path / "s.txt"
+    code, out, err = run_cli(
+        "run", str(graph_file), "--epsilon", "2.5", "--out", str(cert_file)
+    )
+    assert code == 0, err
+    assert out.splitlines()[0] == "0 1"
+    code, out, _ = run_cli("verify", str(graph_file), str(cert_file))
+    assert code == 0 and out.strip() == "valid"
+
+
+def test_cli_defaults_are_the_config_defaults():
+    assert _pipeline_config(build_parser().parse_args(["run", "g.txt"])) == PipelineConfig()
 
 
 def test_verify_examples(c6_file, tmp_path):
@@ -159,6 +178,18 @@ def test_experiment_random_regular():
     assert code == 0
     rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
     assert len(rows) == 2
+
+
+def test_experiment_edgeless_quotient_above_epsilon_two():
+    # a perfect matching of a 1-regular graph contracts to an edgeless quotient
+    code, out, err = run_cli(
+        "experiment",
+        "--family", "random-regular", "--q", "10", "--d", "1",
+        "--trials", "1", "--epsilon", "2.5",
+    )
+    assert code == 0, err
+    rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
+    assert len(rows) == 1 and rows[0].endswith(",ok")
 
 
 def test_oracle_commands(tmp_path, c6_file):

@@ -200,8 +200,8 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     sizes.clear()
     found = []  # sparsify results, for the per-attempt triangle counts
 
-    def recording(*args, _original=pipeline.sparsify_independent_set):
-        found.append(_original(*args))
+    def recording(*args, _original=pipeline.sparsify_independent_set, **kwargs):
+        found.append(_original(*args, **kwargs))
         return found[-1]
 
     monkeypatch.setattr(pipeline, "sparsify_independent_set", recording)

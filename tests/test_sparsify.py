@@ -12,11 +12,11 @@ from indmatch import (
     induced_subgraph,
     is_independent_set,
     named_fixture,
+    polarity_graph,
     projective_incidence_graph,
     random_regular,
     sample_vertices,
     sparsify_independent_set,
-    sparsify_params,
     triangle_free_independent_set,
 )
 from indmatch.oracle import max_independent_set_bf
@@ -30,30 +30,51 @@ from indmatch.sparsify import (
 from conftest import graphs, regular_corpus
 
 
-def test_params_formulas():
-    p = sparsify_params(100, 1.5)
-    assert p.a == pytest.approx(0.5)
-    assert p.p == pytest.approx(0.1)
-    assert sparsify_params(10_000, 1.5).p == pytest.approx(0.01)
-    th = p.thresholds_for(200)
-    np_ = 200 * p.p
-    assert th.v_lo == pytest.approx(np_ / 2)
-    assert th.v_hi == pytest.approx(3 * np_ / 2)
-    assert th.tri_max == pytest.approx(np_ / 4)
-    assert th.edge_max == pytest.approx(5 * 200 * 100 * p.p**2)
+def test_attempt_trail_follows_the_paper_formulas():
+    # p = d**(eps/3 - 1) with d the max degree, and the outcome of every
+    # attempt is the first threshold it breaks, recomputed here
+    g, eps = polarity_graph(7), 1.0
+    _, d, _ = degree_profile(g)
+    p = d ** (eps / 3 - 1)
+    np_ = g.n * p
+    outcomes = set()
+    for seed in range(30):
+        try:
+            trail = sparsify_independent_set(
+                g, eps, seed, degree_cutoff=0, max_retries=8
+            ).attempt_stats
+        except RetriesExhausted as err:
+            trail = err.attempts
+        for stats in trail:
+            sample = sample_vertices(g, p, random.Random(mix64(seed, stats.index)))
+            sub, _ = induced_subgraph(g, sample)
+            removed = break_triangles(sub)
+            remainder, _ = induced_subgraph(sub, set(range(sub.n)) - removed)
+            assert stats.sampled == len(sample)
+            assert stats.triangles == len(enumerate_triangles(sub))
+            assert stats.edges == remainder.m
+            if not np_ / 2 <= stats.sampled <= 3 * np_ / 2:
+                expected = "vertex-count"
+            elif stats.triangles > np_ / 4:
+                expected = "triangles"
+            elif stats.edges > 5 * g.n * d * p * p:
+                expected = "edges"
+            else:
+                expected = "pass"
+            assert stats.outcome == expected
+            outcomes.add(expected)
+    assert {"pass", "vertex-count", "triangles"} <= outcomes
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        sparsify_params(8, 3.5)
-    with pytest.raises(ValueError):
-        sparsify_params(8, 0.0)
-    with pytest.raises(ValueError):
-        sparsify_params(0, 1.0)
+def test_params_validation(petersen):
+    for eps in (3.5, 3.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            sparsify_independent_set(petersen, eps)
     for bad in ({"max_retries": 0}, {"max_retries": -3}, {"degree_cutoff": -1}):
         with pytest.raises(ValueError):
-            sparsify_params(8, 1.0, **bad)
-    assert sparsify_params(8, 1.0, degree_cutoff=0, max_retries=1).max_retries == 1
+            sparsify_independent_set(petersen, 1.0, **bad)
+    edgeless = named_fixture("edgeless-8")
+    assert sparsify_independent_set(edgeless, 1.0, degree_cutoff=0, max_retries=1).bypassed
 
 
 def test_sample_vertices_extremes(petersen):
@@ -187,8 +208,7 @@ def test_triangle_free_greedy_log_guarantee_on_corpus():
 
 
 def test_sparsify_bypass_on_low_degree(heawood):
-    params = sparsify_params(3, 1.0)
-    res = sparsify_independent_set(heawood, params, seed=0)
+    res = sparsify_independent_set(heawood, 1.0, seed=0)
     assert res.bypassed and res.attempts == 0
     assert len(res.vertices) >= math.ceil(14 / 4)
     assert is_independent_set(heawood, res.vertices)
@@ -197,21 +217,16 @@ def test_sparsify_bypass_on_low_degree(heawood):
 
 def test_sparsify_edgeless_returns_everything():
     g = named_fixture("edgeless-8")
-    params = sparsify_params(5, 1.0)
-    res = sparsify_independent_set(g, params, seed=3)
-    assert res.vertices == frozenset(range(8))
-
-
-def test_sparsify_rejects_understated_degree(petersen):
-    with pytest.raises(ValueError, match="max degree"):
-        sparsify_independent_set(petersen, sparsify_params(2, 1.0), seed=0)
+    # d = 0: past eps = 2 the budget n * d**(2 - eps) is a negative power of 0
+    for eps in (1.0, 2.0, 2.5):
+        res = sparsify_independent_set(g, eps, seed=3)
+        assert res.bypassed and res.vertices == frozenset(range(8))
 
 
 def test_sparsify_triangle_budget_error():
     k8 = named_fixture("complete-8")
-    params = sparsify_params(7, 2.9)
     with pytest.raises(TriangleBudgetExceeded) as err:
-        sparsify_independent_set(k8, params, seed=0)
+        sparsify_independent_set(k8, 2.9, seed=0)
     assert err.value.measured == 56
     assert err.value.budget < 56
 
@@ -219,8 +234,7 @@ def test_sparsify_triangle_budget_error():
 def test_sparsify_sampling_path_statistics():
     g = projective_incidence_graph(13)
     # run on the graph itself (degree 14 exceeds the cutoff): sampling path
-    params = sparsify_params(14, 1.0, degree_cutoff=8)
-    res = sparsify_independent_set(g, params, seed=5)
+    res = sparsify_independent_set(g, 1.0, seed=5, degree_cutoff=8)
     assert not res.bypassed and res.attempts >= 1
     assert res.attempt_stats[-1].outcome == "pass"
     assert is_independent_set(g, res.vertices)
@@ -232,15 +246,15 @@ def test_attempt_edges_count_the_remainder():
     # AttemptStats.edges is the edge count of the sample minus the vertices
     # breaking removed, computed without building that remainder
     g = random_regular(120, 12, 3)
-    params = sparsify_params(12, 1.0, degree_cutoff=0, max_retries=8)
+    p = 12 ** (1.0 / 3 - 1)
     try:
-        trail = sparsify_independent_set(g, params, seed=4).attempt_stats
+        trail = sparsify_independent_set(g, 1.0, 4, degree_cutoff=0, max_retries=8).attempt_stats
     except RetriesExhausted as err:
         trail = err.attempts
     assert any(stats.triangles for stats in trail)
     for stats in trail:
         rng = random.Random(mix64(4, stats.index))
-        sub, _ = induced_subgraph(g, sample_vertices(g, params.p, rng))
+        sub, _ = induced_subgraph(g, sample_vertices(g, p, rng))
         removed = break_triangles(sub)
         remainder, _ = induced_subgraph(sub, set(range(sub.n)) - removed)
         assert stats.edges == remainder.m
@@ -248,23 +262,20 @@ def test_attempt_edges_count_the_remainder():
 
 def test_sparsify_deterministic():
     g = projective_incidence_graph(7)
-    params = sparsify_params(8, 1.0, degree_cutoff=4)
-    a = sparsify_independent_set(g, params, seed=21)
-    b = sparsify_independent_set(g, params, seed=21)
+    a = sparsify_independent_set(g, 1.0, seed=21, degree_cutoff=4)
+    b = sparsify_independent_set(g, 1.0, seed=21, degree_cutoff=4)
     assert a == b
 
 
 def test_sparsify_retries_exhausted_carries_stats():
     g = named_fixture("cycle-9")
-    params = sparsify_params(2, 0.1, degree_cutoff=0, max_retries=1)
     with pytest.raises(RetriesExhausted) as err:
-        sparsify_independent_set(g, params, seed=3)
+        sparsify_independent_set(g, 0.1, seed=3, degree_cutoff=0, max_retries=1)
     assert len(err.value.attempts) == 1
     assert err.value.attempts[0].outcome != "pass"
 
 
 def test_sparsify_results_independent_over_corpus():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=16):
-        _, d, _ = degree_profile(g)
-        res = sparsify_independent_set(g, sparsify_params(d, 1.0), seed=2)
+        res = sparsify_independent_set(g, 1.0, seed=2)
         assert is_independent_set(g, res.vertices), name
