@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -23,6 +24,16 @@ Matching = tuple[Edge, ...]
 
 def ordered_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
+
+
+def _not_an_id(u, v) -> ValueError:
+    """The error naming ``u``, or else ``v``, as an id that
+    ``operator.index`` rejects."""
+    try:
+        index(u)
+    except TypeError:
+        return ValueError(f"vertex id {u!r} is not an integer")
+    return ValueError(f"vertex id {v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -104,14 +115,18 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a :class:`Graph` from vertex pairs.
 
-    Duplicate pairs (in either orientation) collapse to one edge. Self-loops
-    and out-of-range endpoints raise ``ValueError``.
+    Duplicate pairs (in either orientation) collapse to one edge. Self-loops,
+    out-of-range endpoints and ids that are not integers (``operator.index``
+    rejects floats and strings) raise ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        u, v = int(u), int(v)
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise _not_an_id(u, v) from None
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -184,10 +199,14 @@ def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:
 
 def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     """Normalize edges to sorted ``(u, v)`` pairs with ``u < v``, deduplicated
-    and sorted. Rejects degenerate pairs ``(u, u)``."""
+    and sorted. Rejects degenerate pairs ``(u, u)`` and ids that are not
+    integers."""
     seen = set()
     for u, v in edges:
-        u, v = int(u), int(v)
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise _not_an_id(u, v) from None
         if u == v:
             raise ValueError(f"degenerate matching edge ({u}, {v})")
         seen.add(ordered_edge(u, v))
@@ -257,26 +276,27 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    m: int | None = None  # edge count from the header, once it is read
     edges: list[tuple[int, int]] = []
+    append = edges.append
     bad_lines: list[int] = []  # edge lines that are not two integers
-    for lineno, line in enumerate(text.split("\n"), 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if m is None:
+    lines = enumerate(map(str.split, text.split("\n")), 1)
+    for lineno, tokens in lines:
+        if tokens:
             try:
                 n, m = map(int, tokens)  # exactly two tokens
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: expected header 'n m'") from exc
+            break
+    else:
+        raise ValueError("empty edge-list file")
+    for lineno, tokens in lines:
+        if not tokens:
             continue
         try:
             u, v = tokens
-            edges.append((int(u), int(v)))
+            append((int(u), int(v)))
         except ValueError:
             bad_lines.append(lineno)
-    if m is None:
-        raise ValueError("empty edge-list file")
     found = len(edges) + len(bad_lines)
     if found != m:
         raise ValueError(f"expected {m} edge lines, found {found}")

@@ -202,15 +202,30 @@ class ContractedGraph:
 
 
 def contract_matching(g: Graph, matching) -> ContractedGraph:
+    """Quotient of ``g`` by ``matching``, whose edges become vertices
+    ``0..k-1`` in canonical order.
+
+    The matching is canonicalized and checked once: an endpoint outside
+    ``[0, n)`` or a pair that is not an edge of ``g`` raises ``ValueError``,
+    and so do two edges sharing an endpoint. The row of vertex ``idx`` is
+    the sorted set of contracted vertices owning a host neighbor of either
+    endpoint of ``rep[idx]``, minus ``idx`` itself. Owners are read from a
+    flat list with ``-1`` at every unmatched host vertex, and ``-1`` is
+    dropped from each row.
+    """
     edges, inv_rep = _matching_owner(g, matching)
     if inv_rep is None:
         raise ValueError("edges do not form a matching")
+    owner = [-1] * g.n
+    for v, idx in inv_rep.items():
+        owner[v] = idx
+    get, adjacency = owner.__getitem__, g.adjacency
     # host adjacency is symmetric, so these sorted rows are too
-    adjacency = g.adjacency
     rows = []
-    for idx, e in enumerate(edges):
-        row = {inv_rep[w] for x in e for w in adjacency[x] if w in inv_rep}
+    for idx, (a, b) in enumerate(edges):
+        row = set(map(get, adjacency[a] + adjacency[b]))
         row.discard(idx)
+        row.discard(-1)
         rows.append(tuple(sorted(row)))
     return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges, inv_rep=inv_rep)
 

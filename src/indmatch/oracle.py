@@ -15,11 +15,12 @@ from .graph import (
     Graph,
     Matching,
     VertexSet,
+    _matching_owner,
     canonical_matching,
     from_edge_list,
     ordered_edge,
 )
-from .matching import EdgeColoring
+from .matching import ContractedGraph, EdgeColoring
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,35 @@ def greedy_matching_bf(g: Graph) -> Matching:
             matched.update((u, v))
             chosen.append((u, v))
     return tuple(chosen)
+
+
+def contract_matching_bf(g: Graph, matching) -> ContractedGraph:
+    """Dict-and-set twin of :func:`indmatch.matching.contract_matching`:
+    each row probes ``inv_rep`` for every neighbor of both endpoints."""
+    edges, inv_rep = _matching_owner(g, matching)
+    if inv_rep is None:
+        raise ValueError("edges do not form a matching")
+    adjacency = g.adjacency
+    rows = []
+    for idx, e in enumerate(edges):
+        row = {inv_rep[w] for x in e for w in adjacency[x] if w in inv_rep}
+        row.discard(idx)
+        rows.append(tuple(sorted(row)))
+    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges, inv_rep=inv_rep)
+
+
+def min_degree_greedy_bf(g: Graph, removed=frozenset()) -> VertexSet:
+    """Rescanning twin of :func:`indmatch.sparsify.triangle_free_independent_set`,
+    without its triangle guard: rescan every live vertex for the least
+    (live degree, id), take it and delete its closed neighborhood."""
+    nbr = g.neighbor_sets
+    live = set(range(g.n)) - set(removed)
+    chosen = set()
+    while live:
+        v = min(live, key=lambda x: (len(nbr[x] & live), x))
+        chosen.add(v)
+        live -= nbr[v] | {v}
+    return frozenset(chosen)
 
 
 def is_proper_edge_coloring_bf(g: Graph, coloring: EdgeColoring) -> bool:

@@ -113,7 +113,6 @@ class PreparedPipeline:
     config: PipelineConfig
     matching: Matching
     contracted: ContractedGraph
-    budget: float
 
     @property
     def epsilon(self) -> float:
@@ -122,6 +121,13 @@ class PreparedPipeline:
     @property
     def contracted_max_degree(self) -> int:
         return degree_profile(self.contracted.graph)[1]
+
+    @property
+    def budget(self) -> float:
+        """The quotient's triangle budget at this config's epsilon."""
+        return triangle_budget(
+            self.contracted.graph.n, self.contracted_max_degree, self.epsilon
+        )
 
     @property
     def matching_below_quarter(self) -> bool:
@@ -147,20 +153,16 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         # short of Vizing's ceil(m/(Δ+1)); a largest class of a (Δ+1)-edge
         # coloring meets it
         matching = extract_matching(graph, misra_gries_edge_color(graph))
-    contracted = contract_matching(graph, matching)
-    epsilon = config.effective_epsilon()
-    _, d_contracted, _ = degree_profile(contracted.graph)
-    triangles = enumerate_triangles(contracted.graph)
-    budget = triangle_budget(contracted.graph.n, d_contracted, epsilon)
-    if len(triangles) > budget:
-        raise TriangleBudgetExceeded(len(triangles), budget)
-    return PreparedPipeline(
+    prep = PreparedPipeline(
         graph=graph,
         config=config,
         matching=matching,
-        contracted=contracted,
-        budget=budget,
+        contracted=contract_matching(graph, matching),
     )
+    triangles = enumerate_triangles(prep.contracted.graph)
+    if len(triangles) > prep.budget:
+        raise TriangleBudgetExceeded(len(triangles), prep.budget)
+    return prep
 
 
 def greedy_induced_matching(graph: Graph) -> Matching:

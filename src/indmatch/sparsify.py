@@ -146,11 +146,12 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
             deg[w] -= 1
     if any(alive[a] and alive[b] and alive[c] for a, b, c in enumerate_triangles(g)):
         raise ValueError("input graph contains a triangle")
-    heap = [(deg[v], v) for v in range(n) if alive[v]]
+    # key deg * n + v orders as (deg, v), since 0 <= v < n
+    heap = [deg[v] * n + v for v in range(n) if alive[v]]
     heapify(heap)
     chosen = []
     while heap:
-        d, v = heappop(heap)
+        d, v = divmod(heappop(heap), n)
         if not alive[v] or d != deg[v]:
             continue
         chosen.append(v)
@@ -162,7 +163,7 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
             for x in adjacency[w]:
                 if alive[x]:
                     deg[x] -= 1
-                    heappush(heap, (deg[x], x))
+                    heappush(heap, deg[x] * n + x)
     return frozenset(chosen)
 
 

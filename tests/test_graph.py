@@ -41,6 +41,15 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(3, [(0, 3)])
 
 
+def test_from_edge_list_rejects_non_integer_ids():
+    with pytest.raises(ValueError, match=r"vertex id 0\.7 is not an integer"):
+        from_edge_list(3, [(0.7, 1.2)])  # int() would build the edge (0, 1)
+    with pytest.raises(ValueError, match=r"vertex id '1' is not an integer"):
+        from_edge_list(3, [(0, "1")])
+    # bools and other __index__ types are integers
+    assert from_edge_list(3, [(False, True)]).adjacency == ((1,), (0,), ())
+
+
 def test_from_edge_list_collapses_duplicates():
     g = from_edge_list(4, [(0, 1), (0, 1), (1, 0), (2, 3)])
     assert g.m == 2
@@ -181,6 +190,16 @@ def test_is_induced_matching_examples(c6):
 def test_is_induced_matching_rejects_missing_edge(c6):
     with pytest.raises(ValueError, match="not present"):
         is_induced_matching(c6, [(0, 2)])
+
+
+def test_is_induced_matching_rejects_non_integer_ids(c6):
+    with pytest.raises(ValueError, match=r"vertex id 0\.9 is not an integer"):
+        is_induced_matching(c6, [(0.9, 1.9)])  # int() would read (0, 1)
+    with pytest.raises(ValueError, match=r"vertex id '0' is not an integer"):
+        is_induced_matching(c6, [("0", "1")])
+    with pytest.raises(ValueError, match=r"vertex id 1\.5 is not an integer"):
+        is_induced_matching(c6, [(3, 1.5)])
+    assert is_induced_matching(c6, [(False, True)])
 
 
 def test_induced_matching_implies_matching_and_vertex_count(c6):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmatch import (
     contract_matching,
@@ -24,7 +25,11 @@ from indmatch import (
 )
 from indmatch import graph as graph_module, matching as matching_module
 from indmatch.matching import EdgeColoring
-from indmatch.oracle import greedy_matching_bf, max_independent_set_bf
+from indmatch.oracle import (
+    contract_matching_bf,
+    greedy_matching_bf,
+    max_independent_set_bf,
+)
 
 from conftest import graphs, regular_corpus
 
@@ -175,6 +180,24 @@ def test_contract_examples(c6):
     tri = contract_matching(c6, [(0, 1), (2, 3), (4, 5)])
     assert tri.graph.n == 3 and tri.graph.m == 3
     assert len(enumerate_triangles(tri.graph)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_contraction_matches_dict_twin(g, data):
+    # any matching, not just the greedy one, so unmatched host neighbors
+    # reach the -1 owner sentinel; pairs come in either orientation
+    edges = list(g.edges())
+    pairs = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    matching, used = [], set()
+    for u, v in pairs:
+        if u not in used and v not in used:
+            used |= {u, v}
+            matching.append((v, u) if data.draw(st.booleans()) else (u, v))
+    fast, twin = contract_matching(g, matching), contract_matching_bf(g, matching)
+    assert fast.graph == twin.graph
+    assert fast.rep == twin.rep
+    assert list(fast.inv_rep.items()) == list(twin.inv_rep.items())
 
 
 def test_contract_rejects_invalid(c6):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -98,6 +99,21 @@ def test_verify_certificate_roundtrip(c6):
         matching=(), size=0, certificate=True, stats=result.stats
     )
     assert verify_certificate(c6, empty) is True
+    for ids in [((0.9, 1.9),), (("0", "1"),)]:  # not integers, not vertices 0, 1
+        forged = result.__class__(
+            matching=ids, size=1, certificate=True, stats=result.stats
+        )
+        assert verify_certificate(c6, forged) is False
+
+
+def test_budget_follows_a_replaced_config():
+    prep = prepare_pipeline(projective_incidence_graph(7), PipelineConfig())
+    assert prep.budget == pytest.approx(5674.297, abs=1e-3)
+    changed = dataclasses.replace(prep, config=PipelineConfig(epsilon=1.0))
+    expected = triangle_budget(prep.contracted.graph.n, prep.contracted_max_degree, 1.0)
+    assert expected == 784.0
+    assert changed.budget == expected
+    assert run_prepared(changed, 0).stats.budget == expected
 
 
 def test_determinism_byte_for_byte():

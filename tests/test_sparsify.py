@@ -19,7 +19,7 @@ from indmatch import (
     sparsify_independent_set,
     triangle_free_independent_set,
 )
-from indmatch.oracle import max_independent_set_bf
+from indmatch.oracle import max_independent_set_bf, min_degree_greedy_bf
 from indmatch.seeds import mix64
 from indmatch.sparsify import (
     RetriesExhausted,
@@ -173,6 +173,14 @@ def test_masked_greedy_matches_greedy_on_induced_remainder(g, data):
     remainder, kept = induced_subgraph(g, survivors)
     expected = {kept[v] for v in triangle_free_independent_set(remainder)}
     assert triangle_free_independent_set(g, removed) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_masked_greedy_matches_rescanning_twin(g, data):
+    extra = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    removed = break_triangles(g) | extra
+    assert triangle_free_independent_set(g, removed) == min_degree_greedy_bf(g, removed)
 
 
 @settings(max_examples=80, deadline=None)
