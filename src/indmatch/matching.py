@@ -189,16 +189,14 @@ def extract_matching(g: Graph, coloring: EdgeColoring) -> Matching:
 class ContractedGraph:
     """Quotient of a host graph by a matching.
 
-    ``graph`` has one vertex per matching edge; ``rep[x]`` is the matching
-    edge behind contracted vertex ``x`` and ``inv_rep`` sends each matched
-    host vertex to its contracted vertex. Distinct contracted vertices are
-    adjacent iff some host edge joins their endpoint pairs; the matching
-    edge itself never produces a loop.
+    ``graph`` has one vertex per matching edge, and ``rep[x]`` is the
+    matching edge behind contracted vertex ``x``. Distinct contracted
+    vertices are adjacent iff some host edge joins their endpoint pairs;
+    the matching edge itself never produces a loop.
     """
 
     graph: Graph
     rep: tuple[Edge, ...]
-    inv_rep: dict[int, int]
 
 
 def contract_matching(g: Graph, matching) -> ContractedGraph:
@@ -207,18 +205,16 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
 
     The matching is canonicalized and checked once: an endpoint outside
     ``[0, n)`` or a pair that is not an edge of ``g`` raises ``ValueError``,
-    and so do two edges sharing an endpoint. The row of vertex ``idx`` is
-    the sorted set of contracted vertices owning a host neighbor of either
-    endpoint of ``rep[idx]``, minus ``idx`` itself. Owners are read from a
-    flat list with ``-1`` at every unmatched host vertex, and ``-1`` is
-    dropped from each row.
+    and so do two edges sharing an endpoint, but only once every edge has
+    passed the first two checks. The row of vertex ``idx`` is the sorted
+    set of contracted vertices owning a host neighbor of either endpoint of
+    ``rep[idx]``, minus ``idx`` itself. Owners are read from the flat list
+    of :func:`~indmatch.graph._matching_owner`, which holds ``-1`` at every
+    unmatched host vertex, and ``-1`` is dropped from each row.
     """
-    edges, inv_rep = _matching_owner(g, matching)
-    if inv_rep is None:
+    edges, owner = _matching_owner(g, matching)
+    if owner is None:
         raise ValueError("edges do not form a matching")
-    owner = [-1] * g.n
-    for v, idx in inv_rep.items():
-        owner[v] = idx
     get, adjacency = owner.__getitem__, g.adjacency
     # host adjacency is symmetric, so these sorted rows are too
     rows = []
@@ -227,7 +223,7 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
         row.discard(idx)
         row.discard(-1)
         rows.append(tuple(sorted(row)))
-    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges, inv_rep=inv_rep)
+    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges)
 
 
 def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:

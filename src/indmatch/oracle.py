@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
+from typing import Iterable
 
 from .generators import _projective_points, _require_prime
 from .graph import (
@@ -16,6 +18,7 @@ from .graph import (
     Matching,
     VertexSet,
     _matching_owner,
+    _not_an_id,
     canonical_matching,
     from_edge_list,
     ordered_edge,
@@ -159,6 +162,26 @@ def is_c4_free_bf(g: Graph, limit: int | None = None) -> bool:
     return not contains_kbb_bf(g, 2, limit=limit)
 
 
+def from_edge_list_bf(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Set-per-vertex twin of :func:`indmatch.graph.from_edge_list`, with
+    the same checks in the same order and the same messages."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise _not_an_id(u, v) from None
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+
+
 def is_induced_matching_bf(g: Graph, matching) -> bool:
     """Exhaustive recheck of the induced-matching property.
 
@@ -195,17 +218,19 @@ def greedy_matching_bf(g: Graph) -> Matching:
 
 def contract_matching_bf(g: Graph, matching) -> ContractedGraph:
     """Dict-and-set twin of :func:`indmatch.matching.contract_matching`:
-    each row probes ``inv_rep`` for every neighbor of both endpoints."""
-    edges, inv_rep = _matching_owner(g, matching)
-    if inv_rep is None:
+    each row probes a dict from matched host vertex to edge index for every
+    neighbor of both endpoints."""
+    edges, owner = _matching_owner(g, matching)
+    if owner is None:
         raise ValueError("edges do not form a matching")
+    inv_rep = {x: idx for idx, e in enumerate(edges) for x in e}
     adjacency = g.adjacency
     rows = []
     for idx, e in enumerate(edges):
         row = {inv_rep[w] for x in e for w in adjacency[x] if w in inv_rep}
         row.discard(idx)
         rows.append(tuple(sorted(row)))
-    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges, inv_rep=inv_rep)
+    return ContractedGraph(graph=Graph(len(edges), tuple(rows)), rep=edges)
 
 
 def min_degree_greedy_bf(g: Graph, removed=frozenset()) -> VertexSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .graph import (
     Graph,
@@ -146,13 +146,22 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
             deg[w] -= 1
     if any(alive[a] and alive[b] and alive[c] for a, b, c in enumerate_triangles(g)):
         raise ValueError("input graph contains a triangle")
-    # key deg * n + v orders as (deg, v), since 0 <= v < n
-    heap = [deg[v] * n + v for v in range(n) if alive[v]]
-    heapify(heap)
+    # one heap of ids per degree; a live vertex's current entry is the one in
+    # heaps[deg[v]], since degrees only fall. Ids enter in ascending order,
+    # so each list starts out as a heap.
+    heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        if alive[v]:
+            heaps[deg[v]].append(v)
     chosen = []
-    while heap:
-        d, v = divmod(heappop(heap), n)
-        if not alive[v] or d != deg[v]:
+    d = 0  # no live vertex has degree below d
+    while d < len(heaps):
+        heap = heaps[d]
+        if not heap:
+            d += 1
+            continue
+        v = heappop(heap)
+        if not alive[v] or deg[v] != d:
             continue
         chosen.append(v)
         alive[v] = False
@@ -162,8 +171,10 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
             alive[w] = False
             for x in adjacency[w]:
                 if alive[x]:
-                    deg[x] -= 1
-                    heappush(heap, deg[x] * n + x)
+                    k = deg[x] = deg[x] - 1
+                    heappush(heaps[k], x)
+                    if k < d:
+                        d = k
     return frozenset(chosen)
 
 

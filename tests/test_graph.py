@@ -1,4 +1,6 @@
+import gc
 import io
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,12 +16,13 @@ from indmatch import (
     is_independent_set,
     is_matching,
     named_fixture,
+    random_regular,
     read_edge_list,
     validate_graph,
     write_edge_list,
 )
 from indmatch.graph import canonical_matching
-from indmatch.oracle import count_triangles_bf
+from indmatch.oracle import count_triangles_bf, from_edge_list_bf
 
 from conftest import graphs
 
@@ -53,6 +56,56 @@ def test_from_edge_list_rejects_non_integer_ids():
 def test_from_edge_list_collapses_duplicates():
     g = from_edge_list(4, [(0, 1), (0, 1), (1, 0), (2, 3)])
     assert g.m == 2
+
+
+_odd_ids = st.one_of(st.integers(-2, 10), st.booleans(), st.floats(), st.text(max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 8), st.data())
+def test_from_edge_list_matches_set_twin(n, data):
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    if pairs:  # repeat some pairs in the other orientation
+        pairs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=4))]
+    # at most one pair that may be out of range or not of integers, anywhere
+    odd = data.draw(st.none() | st.tuples(_odd_ids, _odd_ids))
+    if odd is not None:
+        pairs.insert(data.draw(st.integers(0, len(pairs))), odd)
+
+    def outcome(build):
+        try:
+            return build(n, pairs).adjacency
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(from_edge_list) == outcome(from_edge_list_bf)
+
+
+def _traced_bytes(build):
+    """``(peak, retained, result)``: bytes allocated by ``build()`` at its
+    peak, and those its result still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, retained, result
+
+
+def test_graph_building_peaks_near_the_retained_size(tmp_path):
+    g = random_regular(20000, 4, 1)
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path)
+    peak, retained, again = _traced_bytes(lambda: read_edge_list(path))
+    assert again == g
+    assert peak <= 2.0 * retained, (peak, retained)
+    # the ids are shared with g, so only the rows are retained here
+    peak, retained, again = _traced_bytes(lambda: from_edge_list(g.n, g.edges()))
+    assert again == g
+    assert peak <= 1.6 * retained, (peak, retained)
 
 
 def test_graph_is_immutable(petersen):

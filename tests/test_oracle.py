@@ -121,6 +121,7 @@ def _verdict(check, g, matching):
 )
 @example("cycle-6", [(-1, 0)])
 @example("cycle-6", [(99, 100)])
+@example("cycle-6", [(0, 1), (1, 2), (2, 4)])  # overlap, then a non-edge
 def test_fast_and_exhaustive_induced_checks_agree_on_any_ids(name, matching):
     g = named_fixture(name)
     assert _verdict(is_induced_matching, g, matching) == _verdict(
