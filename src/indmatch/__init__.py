@@ -11,15 +11,11 @@ from .graph import (
     Graph,
     Matching,
     VertexSet,
-    degree_profile,
     enumerate_triangles,
     from_edge_list,
     induced_subgraph,
     is_induced_matching,
-    is_independent_set,
-    is_matching,
     read_edge_list,
-    validate_graph,
     write_edge_list,
 )
 from .generators import (
@@ -61,7 +57,6 @@ from .pipeline import (
     induced_matching,
     prepare_pipeline,
     run_prepared,
-    verify_certificate,
 )
 from .seeds import mix64
 
@@ -74,12 +69,8 @@ __all__ = [
     "from_edge_list",
     "read_edge_list",
     "write_edge_list",
-    "validate_graph",
-    "degree_profile",
     "enumerate_triangles",
     "induced_subgraph",
-    "is_independent_set",
-    "is_matching",
     "is_induced_matching",
     "GeneratorSpec",
     "GenerationError",
@@ -113,6 +104,5 @@ __all__ = [
     "run_prepared",
     "greedy_induced_matching",
     "triangle_budget",
-    "verify_certificate",
     "mix64",
 ]

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import generators, oracle
-from .graph import degree_profile, is_induced_matching, read_edge_list, write_edge_list
+from .graph import is_induced_matching, read_edge_list, write_edge_list
 from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
@@ -105,7 +105,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     graph = generators.build_graph(spec)
     write_edge_list(graph, args.out)
-    lo, hi, regular = degree_profile(graph)
+    lo, hi, regular = graph.degree_profile
     print(
         f"n={graph.n} m={graph.m} min_degree={lo} max_degree={hi} "
         f"regular={'true' if regular else 'false'}"
@@ -124,7 +124,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # write the certificate before printing, so a failed write prints nothing
     if args.out:
         Path(args.out).write_text(edge_lines, encoding="utf-8")
-    _, dmax, _ = degree_profile(graph)
+    _, dmax, _ = graph.degree_profile
     status = "ok" if result.certificate else "invalid"
     print(edge_lines + CSV_HEADER)
     print(_stats_row("file", "", graph.n, dmax, config.seed, result, status))
@@ -187,7 +187,7 @@ def _sweep(
                 f"seconds={time.monotonic() - start:.3f}",
                 file=sys.stderr,
             )
-            dmax = degree_profile(graph)[1]
+            dmax = graph.degree_profile[1]
             if result is None:
                 rows.append(
                     _stats_row(args.family, str(param), graph.n, dmax, seed, None, "retries")

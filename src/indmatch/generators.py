@@ -32,10 +32,6 @@ FIXTURE_NAMES = (
 class GenerationError(RuntimeError):
     """Raised when randomized generation exhausts its restart budget."""
 
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 def _require_prime(q: int) -> None:
     if q < 2:
@@ -188,8 +184,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             return from_edge_list(n, edges)
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices after "
-        f"{PAIRING_RESTART_BUDGET} restarts",
-        attempts=PAIRING_RESTART_BUDGET,
+        f"{PAIRING_RESTART_BUDGET} restarts"
     )
 
 

@@ -10,8 +10,10 @@ mask over the unchanged graph.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import index
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -44,7 +46,7 @@ class Graph:
     pairs enter through :func:`from_edge_list`, which enforces the invariants
     (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
     ``contract_matching`` and the projective and polarity generators build
-    such rows directly, checked by :func:`validate_graph` in tests. Derived
+    such rows directly, checked by ``oracle.validate_graph`` in tests. Derived
     facts (``m``, ``degree_profile``, ``triangles``) are computed on first
     use and cached on the graph.
     """
@@ -55,10 +57,6 @@ class Graph:
     @cached_property
     def m(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
     @cached_property
     def degree_profile(self) -> tuple[int, int, bool]:
@@ -139,35 +137,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def validate_graph(g: Graph) -> None:
-    """Walk every representation invariant, raising ``ValueError`` on the
-    first violation. Used by tests on graphs produced by other modules."""
-    if g.n < 0:
-        raise ValueError("negative vertex count")
-    if len(g.adjacency) != g.n:
-        raise ValueError("adjacency length differs from vertex count")
-    total = 0
-    for v, nbrs in enumerate(g.adjacency):
-        if list(nbrs) != sorted(set(nbrs)):
-            raise ValueError(f"adjacency of {v} not sorted or has duplicates")
-        for w in nbrs:
-            if not 0 <= w < g.n:
-                raise ValueError(f"neighbor {w} of {v} out of range")
-            if w == v:
-                raise ValueError(f"self-loop at {v}")
-            if v not in g.adjacency[w]:
-                raise ValueError(f"asymmetric edge ({v}, {w})")
-        total += len(nbrs)
-    if g.m != total // 2:
-        raise ValueError("edge count inconsistent with adjacency")
-
-
-def degree_profile(g: Graph) -> tuple[int, int, bool]:
-    """Return ``(min_degree, max_degree, is_regular)``; ``(0, 0, True)`` for
-    the empty graph. Computed once per graph and cached on it."""
-    return g.degree_profile
-
-
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     """All triangles of ``g``, each exactly once as a sorted tuple, in sorted
     order. Computed once per graph and cached on it."""
@@ -189,17 +158,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(chosen), adjacency), tuple(chosen)
 
 
-def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no edge of ``g`` has both endpoints in ``vertices``."""
-    chosen = set(vertices)
-    for v in chosen:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        if not chosen.isdisjoint(g.neighbor_sets[v]):
-            return False
-    return True
-
-
 def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     """Normalize edges to sorted ``(u, v)`` pairs with ``u < v``, deduplicated
     and sorted. Rejects degenerate pairs ``(u, u)`` and ids that are not
@@ -214,12 +172,6 @@ def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
             raise ValueError(f"degenerate matching edge ({u}, {v})")
         seen.add(ordered_edge(u, v))
     return tuple(sorted(seen))
-
-
-def is_matching(edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff the (deduplicated) edges are pairwise vertex-disjoint."""
-    edges = canonical_matching(edges)
-    return len({v for e in edges for v in e}) == 2 * len(edges)
 
 
 def _matching_owner(g: Graph, matching) -> tuple[Matching, list[int] | None]:
@@ -267,13 +219,15 @@ def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
 
 
 def write_edge_list(g: Graph, target: str | Path | IO[str]) -> None:
-    lines = [f"{g.n} {g.m}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g.edges())
-    text = "".join(lines)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    """Write the header, then the edge lines in ``g.edges()`` order, joined
+    1024 lines to a ``write``: the text of the whole file is never built,
+    and the per-call cost of one ``write`` per line is not paid either."""
+    opened = isinstance(target, (str, Path))
+    with open(target, "w", encoding="utf-8") if opened else nullcontext(target) as out:
+        out.write(f"{g.n} {g.m}\n")
+        edges = g.edges()
+        while chunk := "".join([f"{u} {v}\n" for u, v in islice(edges, 1024)]):
+            out.write(chunk)
 
 
 def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[int]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, Matching, _matching_owner, degree_profile
+from .graph import Edge, Graph, Matching, _matching_owner
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def misra_gries_edge_color(g: Graph) -> EdgeColoring:
     contract; its iteration order is not.
     """
     n = g.n
-    _, delta, _ = degree_profile(g)
+    _, delta, _ = g.degree_profile
     palette = delta + 1
     at = [0] * (n * palette)
     used = [0] * n

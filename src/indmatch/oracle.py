@@ -1,4 +1,4 @@
-"""Brute-force reference implementations.
+"""Brute-force reference implementations and structural checkers.
 
 Everything here is deliberately slow and obviously correct; the fast paths
 are validated against these on small instances. Size caps keep accidental
@@ -40,6 +40,40 @@ DEFAULT_LIMIT = OracleLimit()
 
 class OracleLimitError(ValueError):
     pass
+
+
+def validate_graph(g: Graph) -> None:
+    """Walk every representation invariant, raising ``ValueError`` on the
+    first violation. Used by tests on graphs produced by other modules."""
+    if g.n < 0:
+        raise ValueError("negative vertex count")
+    if len(g.adjacency) != g.n:
+        raise ValueError("adjacency length differs from vertex count")
+    total = 0
+    for v, nbrs in enumerate(g.adjacency):
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ValueError(f"adjacency of {v} not sorted or has duplicates")
+        for w in nbrs:
+            if not 0 <= w < g.n:
+                raise ValueError(f"neighbor {w} of {v} out of range")
+            if w == v:
+                raise ValueError(f"self-loop at {v}")
+            if v not in g.adjacency[w]:
+                raise ValueError(f"asymmetric edge ({v}, {w})")
+        total += len(nbrs)
+    if g.m != total // 2:
+        raise ValueError("edge count inconsistent with adjacency")
+
+
+def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff no edge of ``g`` has both endpoints in ``vertices``."""
+    chosen = set(vertices)
+    for v in chosen:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if not chosen.isdisjoint(g.adjacency[v]):
+            return False
+    return True
 
 
 def _check_size(n: int, cap: int | None, default: int, what: str) -> None:
@@ -124,7 +158,7 @@ def max_induced_matching_bf(g: Graph, limit: int | None = None) -> tuple[int, Ma
 def count_triangles_bf(g: Graph, limit: int | None = None) -> int:
     """Exact triangle count by scanning all vertex triples."""
     _check_size(g.n, limit, DEFAULT_LIMIT.triangle_count, "triangle count")
-    nbr = g.neighbor_sets
+    nbr = [set(row) for row in g.adjacency]
     total = 0
     for a, b, c in combinations(range(g.n), 3):
         if b in nbr[a] and c in nbr[a] and c in nbr[b]:
@@ -144,7 +178,7 @@ def contains_kbb_bf(g: Graph, b: int, limit: int | None = None) -> bool:
     _check_size(g.n, limit, DEFAULT_LIMIT.kbb_search, "complete-bipartite search")
     if g.n < 2 * b:
         return False
-    nbr = g.neighbor_sets
+    nbr = [set(row) for row in g.adjacency]
     for side in combinations(range(g.n), b):
         common = nbr[side[0]]
         for v in side[1:]:
@@ -237,7 +271,7 @@ def min_degree_greedy_bf(g: Graph, removed=frozenset()) -> VertexSet:
     """Rescanning twin of :func:`indmatch.sparsify.triangle_free_independent_set`,
     without its triangle guard: rescan every live vertex for the least
     (live degree, id), take it and delete its closed neighborhood."""
-    nbr = g.neighbor_sets
+    nbr = [set(row) for row in g.adjacency]
     live = set(range(g.n)) - set(removed)
     chosen = set()
     while live:

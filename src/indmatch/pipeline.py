@@ -16,7 +16,6 @@ from .graph import (
     Graph,
     Matching,
     Triangle,
-    degree_profile,
     enumerate_triangles,
     is_induced_matching,
 )
@@ -120,7 +119,7 @@ class PreparedPipeline:
 
     @property
     def contracted_max_degree(self) -> int:
-        return degree_profile(self.contracted.graph)[1]
+        return self.contracted.graph.degree_profile[1]
 
     @property
     def budget(self) -> float:
@@ -145,7 +144,7 @@ class PreparedPipeline:
 def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
     if graph.n == 0:
         raise ValueError("input graph has no vertices")
-    _, dmax, _ = degree_profile(graph)
+    _, dmax, _ = graph.degree_profile
     if dmax == 0:
         raise EmptyMatchingError("input graph has no edges; empty matching")
     matching = greedy_matching(graph)
@@ -211,7 +210,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         fallback_used = True
 
     certificate = is_induced_matching(prep.graph, matching)
-    _, dmax, _ = degree_profile(prep.graph)
+    _, dmax, _ = prep.graph.degree_profile
     ratio = None
     if dmax >= 2:
         ratio = len(matching) / ((prep.graph.n / dmax) * math.log(dmax))
@@ -242,11 +241,3 @@ def induced_matching(graph: Graph, config: PipelineConfig | None = None) -> Indu
     config = config or PipelineConfig()
     prep = prepare_pipeline(graph, config)
     return run_prepared(prep, config.seed)
-
-
-def verify_certificate(graph: Graph, result: InducedMatchingResult) -> bool:
-    """Recompute the induced-matching check from scratch."""
-    try:
-        return is_induced_matching(graph, result.matching)
-    except ValueError:
-        return False

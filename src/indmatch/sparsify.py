@@ -20,7 +20,6 @@ from heapq import heappop, heappush
 from .graph import (
     Graph,
     VertexSet,
-    degree_profile,
     enumerate_triangles,
     induced_subgraph,
 )
@@ -211,7 +210,7 @@ def sparsify_independent_set(
     :class:`RetriesExhausted` (with the audit trail) if none passes.
     """
     check_run_limits(degree_cutoff, max_retries)
-    _, d, _ = degree_profile(g)
+    _, d, _ = g.degree_profile
     budget = triangle_budget(g.n, d, epsilon)
     triangles = enumerate_triangles(g)
     if len(triangles) > budget:

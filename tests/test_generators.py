@@ -7,18 +7,17 @@ import pytest
 from indmatch import (
     GeneratorSpec,
     build_graph,
-    degree_profile,
     enumerate_triangles,
     named_fixture,
     polarity_graph,
     projective_incidence_graph,
     random_regular,
-    validate_graph,
 )
 from indmatch.oracle import (
     is_c4_free_bf,
     polarity_graph_bf,
     projective_incidence_graph_bf,
+    validate_graph,
 )
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -74,7 +73,7 @@ def test_projective_incidence_structure(q, n, d):
     validate_graph(g)
     assert g.n == n
     assert g.m == n * d // 2
-    assert degree_profile(g) == (d, d, True)
+    assert g.degree_profile == (d, d, True)
     assert enumerate_triangles(g) == ()
     assert is_c4_free_bf(g, limit=g.n)
 
@@ -83,7 +82,7 @@ def test_projective_incidence_structure_q31():
     g = projective_incidence_graph(31)
     validate_graph(g)
     assert (g.n, g.m) == (1986, 31776)
-    assert degree_profile(g) == (32, 32, True)
+    assert g.degree_profile == (32, 32, True)
     assert enumerate_triangles(g) == ()
     assert not shares_two_neighbors(g)
 
@@ -115,7 +114,7 @@ def test_projective_incidence_girth_six():
 
 def test_projective_heawood_equivalent(heawood):
     g = projective_incidence_graph(2)
-    assert (g.n, g.m, degree_profile(g)) == (heawood.n, heawood.m, degree_profile(heawood))
+    assert (g.n, g.m, g.degree_profile) == (heawood.n, heawood.m, heawood.degree_profile)
 
 
 @pytest.mark.parametrize("q", [1, 4, 6, 9])
@@ -149,7 +148,7 @@ def test_polarity_structure_q31():
 def test_random_regular_basic():
     g = random_regular(10, 3, 7)
     validate_graph(g)
-    assert degree_profile(g) == (3, 3, True)
+    assert g.degree_profile == (3, 3, True)
 
 
 def test_random_regular_deterministic():
@@ -176,7 +175,7 @@ def test_random_regular_d0_and_large_degree():
     g = random_regular(6, 0, 1)
     assert g.m == 0
     big = random_regular(100, 20, 5)
-    assert degree_profile(big) == (20, 20, True)
+    assert big.degree_profile == (20, 20, True)
 
 
 def test_fixture_examples(petersen):
@@ -184,7 +183,7 @@ def test_fixture_examples(petersen):
 
     assert count_triangles_bf(petersen) == 0
     c6 = named_fixture("cycle-6")
-    assert degree_profile(c6) == (2, 2, True)
+    assert c6.degree_profile == (2, 2, True)
     k22 = named_fixture("complete-bipartite-2-2")
     assert (k22.n, k22.m) == (4, 4)
     assert girth(k22) == 4
@@ -199,7 +198,7 @@ def test_fixture_unknown_name_lists_supported():
 
 def test_heawood_structure(heawood):
     validate_graph(heawood)
-    assert degree_profile(heawood) == (3, 3, True)
+    assert heawood.degree_profile == (3, 3, True)
     assert enumerate_triangles(heawood) == ()
     assert is_c4_free_bf(heawood, limit=14)
     assert girth(heawood) == 6

@@ -8,21 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indmatch import (
-    degree_profile,
     enumerate_triangles,
     from_edge_list,
     induced_subgraph,
     is_induced_matching,
-    is_independent_set,
-    is_matching,
     named_fixture,
     random_regular,
     read_edge_list,
-    validate_graph,
     write_edge_list,
 )
 from indmatch.graph import canonical_matching
-from indmatch.oracle import count_triangles_bf, from_edge_list_bf
+from indmatch.oracle import (
+    count_triangles_bf,
+    from_edge_list_bf,
+    is_independent_set,
+    validate_graph,
+)
 
 from conftest import graphs
 
@@ -30,7 +31,7 @@ from conftest import graphs
 def test_from_edge_list_triangle():
     g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
     assert g.m == 3
-    assert degree_profile(g) == (2, 2, True)
+    assert g.degree_profile == (2, 2, True)
     validate_graph(g)
 
 
@@ -99,13 +100,18 @@ def test_graph_building_peaks_near_the_retained_size(tmp_path):
     g = random_regular(20000, 4, 1)
     path = tmp_path / "g.txt"
     write_edge_list(g, path)
-    peak, retained, again = _traced_bytes(lambda: read_edge_list(path))
+    peak, graph_bytes, again = _traced_bytes(lambda: read_edge_list(path))
     assert again == g
-    assert peak <= 2.0 * retained, (peak, retained)
+    assert peak <= 2.0 * graph_bytes, (peak, graph_bytes)
     # the ids are shared with g, so only the rows are retained here
     peak, retained, again = _traced_bytes(lambda: from_edge_list(g.n, g.edges()))
     assert again == g
     assert peak <= 1.6 * retained, (peak, retained)
+    # the writer streams its lines, so it never holds the file's text
+    copy = tmp_path / "copy.txt"
+    peak, _, _ = _traced_bytes(lambda: write_edge_list(g, copy))
+    assert copy.read_bytes() == path.read_bytes()
+    assert peak <= 0.1 * graph_bytes, (peak, graph_bytes)
 
 
 def test_graph_is_immutable(petersen):
@@ -114,10 +120,10 @@ def test_graph_is_immutable(petersen):
 
 
 def test_degree_profile_examples(petersen):
-    assert degree_profile(petersen) == (3, 3, True)
-    assert degree_profile(named_fixture("path-3")) == (1, 2, False)
-    assert degree_profile(named_fixture("edgeless-5")) == (0, 0, True)
-    assert degree_profile(from_edge_list(0, [])) == (0, 0, True)
+    assert petersen.degree_profile == (3, 3, True)
+    assert named_fixture("path-3").degree_profile == (1, 2, False)
+    assert named_fixture("edgeless-5").degree_profile == (0, 0, True)
+    assert from_edge_list(0, []).degree_profile == (0, 0, True)
 
 
 def test_enumerate_triangles_examples(petersen):
@@ -227,17 +233,12 @@ def test_is_independent_set_examples(c6):
     assert is_independent_set(c6, set())
 
 
-def test_is_matching():
-    assert is_matching([(0, 1), (2, 3)])
-    assert not is_matching([(0, 1), (1, 2)])
-    assert is_matching([])
-    assert is_matching([(0, 1), (1, 0)])  # duplicate collapses
-
-
 def test_is_induced_matching_examples(c6):
     assert is_induced_matching(c6, [(0, 1), (3, 4)])
     assert not is_induced_matching(c6, [(0, 1), (2, 3)])
     assert is_induced_matching(c6, [])
+    assert not is_induced_matching(c6, [(0, 1), (1, 2)])  # shared endpoint
+    assert is_induced_matching(c6, [(0, 1), (1, 0)])  # duplicate collapses
 
 
 def test_is_induced_matching_rejects_missing_edge(c6):
@@ -258,7 +259,6 @@ def test_is_induced_matching_rejects_non_integer_ids(c6):
 def test_induced_matching_implies_matching_and_vertex_count(c6):
     m = canonical_matching([(0, 1), (3, 4)])
     assert is_induced_matching(c6, m)
-    assert is_matching(m)
     assert len({v for e in m for v in e}) == 2 * len(m)
 
 

@@ -8,27 +8,26 @@ from hypothesis import strategies as st
 
 from indmatch import (
     contract_matching,
-    degree_profile,
     enumerate_triangles,
     extract_matching,
     greedy_matching,
     is_induced_matching,
     is_proper_edge_coloring,
-    is_independent_set,
     misra_gries_edge_color,
     named_fixture,
     polarity_graph,
     projective_incidence_graph,
     pull_back_matching,
     random_regular,
-    validate_graph,
 )
 from indmatch import graph as graph_module, matching as matching_module
 from indmatch.matching import EdgeColoring
 from indmatch.oracle import (
     contract_matching_bf,
     greedy_matching_bf,
+    is_independent_set,
     max_independent_set_bf,
+    validate_graph,
 )
 
 from conftest import graphs, regular_corpus
@@ -57,7 +56,7 @@ def test_heawood_coloring(heawood):
 def test_coloring_proper_and_delta_plus_one(g):
     coloring = misra_gries_edge_color(g)
     assert is_proper_edge_coloring(g, coloring)
-    _, delta, _ = degree_profile(g)
+    _, delta, _ = g.degree_profile
     assert coloring.num_colors <= delta + 1
     assert len(coloring.colors) == g.m
 
@@ -153,7 +152,7 @@ def test_extract_matching_rejects_improper(c6):
 def test_regular_matching_guarantee():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=8):
         coloring = misra_gries_edge_color(g)
-        _, d, regular = degree_profile(g)
+        _, d, regular = g.degree_profile
         assert regular
         assert coloring.num_colors <= d + 1, name
         matching = extract_matching(g, coloring)
@@ -224,12 +223,12 @@ def test_pull_back_rejects_out_of_range(c6):
 
 def test_contract_degree_bound():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=12):
-        _, d, _ = degree_profile(g)
+        _, d, _ = g.degree_profile
         coloring = misra_gries_edge_color(g)
         matching = extract_matching(g, coloring)
         cg = contract_matching(g, matching)
         validate_graph(cg.graph)
-        _, d_m, _ = degree_profile(cg.graph)
+        _, d_m, _ = cg.graph.degree_profile
         assert d_m <= 2 * (d - 1), name
 
 

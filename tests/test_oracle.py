@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from indmatch import (
     is_induced_matching,
-    is_independent_set,
     is_proper_edge_coloring,
     misra_gries_edge_color,
     named_fixture,
@@ -15,6 +14,7 @@ from indmatch.oracle import (
     contains_kbb_bf,
     count_triangles_bf,
     is_c4_free_bf,
+    is_independent_set,
     is_induced_matching_bf,
     is_proper_edge_coloring_bf,
     max_independent_set_bf,

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from indmatch import (
     break_triangles,
-    degree_profile,
     enumerate_triangles,
     induced_subgraph,
-    is_independent_set,
     named_fixture,
     polarity_graph,
     projective_incidence_graph,
@@ -19,7 +17,7 @@ from indmatch import (
     sparsify_independent_set,
     triangle_free_independent_set,
 )
-from indmatch.oracle import max_independent_set_bf, min_degree_greedy_bf
+from indmatch.oracle import is_independent_set, max_independent_set_bf, min_degree_greedy_bf
 from indmatch.seeds import mix64
 from indmatch.sparsify import (
     RetriesExhausted,
@@ -34,7 +32,7 @@ def test_attempt_trail_follows_the_paper_formulas():
     # p = d**(eps/3 - 1) with d the max degree, and the outcome of every
     # attempt is the first threshold it breaks, recomputed here
     g, eps = polarity_graph(7), 1.0
-    _, d, _ = degree_profile(g)
+    _, d, _ = g.degree_profile
     p = d ** (eps / 3 - 1)
     np_ = g.n * p
     outcomes = set()
