@@ -233,12 +233,19 @@ def test_is_independent_set_examples(c6):
     assert is_independent_set(c6, set())
 
 
+def test_is_matching(c6):
+    # The matching half of is_induced_matching; on C6, (0, 1) and (3, 4)
+    # share no endpoint and no edge joins them.
+    assert is_induced_matching(c6, [(0, 1), (3, 4)])
+    assert not is_induced_matching(c6, [(0, 1), (1, 2)])  # shared endpoint
+    assert is_induced_matching(c6, [])
+    assert is_induced_matching(c6, [(0, 1), (1, 0)])  # duplicate collapses
+
+
 def test_is_induced_matching_examples(c6):
     assert is_induced_matching(c6, [(0, 1), (3, 4)])
     assert not is_induced_matching(c6, [(0, 1), (2, 3)])
     assert is_induced_matching(c6, [])
-    assert not is_induced_matching(c6, [(0, 1), (1, 2)])  # shared endpoint
-    assert is_induced_matching(c6, [(0, 1), (1, 0)])  # duplicate collapses
 
 
 def test_is_induced_matching_rejects_missing_edge(c6):
