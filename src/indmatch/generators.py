@@ -181,7 +181,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(PAIRING_RESTART_BUDGET):
         edges = _try_pairing(n, d, rng)
         if edges is not None:
-            return from_edge_list(n, edges)
+            # drained while the rows fill, so the pairs and the graph never
+            # coexist in full; the rows are sorted, so the order is moot
+            return from_edge_list(n, (edges.pop() for _ in range(len(edges))))
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices after "
         f"{PAIRING_RESTART_BUDGET} restarts"

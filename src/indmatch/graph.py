@@ -13,8 +13,8 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import index
+from itertools import chain, islice, starmap
+from operator import index, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -161,7 +161,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     """Normalize edges to sorted ``(u, v)`` pairs with ``u < v``, deduplicated
     and sorted. Rejects degenerate pairs ``(u, u)`` and ids that are not
-    integers."""
+    integers. An input that is already canonical (a ``tuple`` of
+    ``(int, int)`` tuples, each with ``u < v``, strictly increasing) is
+    returned itself, not copied; that test is one C-level pass per
+    condition, with no Python code run per edge."""
+    if (
+        type(edges) is tuple
+        and set(map(type, edges)) <= {tuple}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
+        and all(starmap(lt, edges))
+        and all(map(lt, edges, islice(edges, 1, None)))
+    ):
+        return edges
     seen = set()
     for u, v in edges:
         try:
@@ -232,37 +244,38 @@ def write_edge_list(g: Graph, target: str | Path | IO[str]) -> None:
 
 def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[int]]:
     """The vertex count and the two endpoint columns of an edge-list file.
-    One pass over the lines; blank lines are skipped, and errors name the
-    original line. Checked in order: header, line count, the first edge line
-    that is not two integers. The text and its line list die on return."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    One pass over the lines, streamed: a path is opened with universal
+    newlines (CRLF and a lone CR end a line too), and an IO source is
+    iterated as given, so neither the text nor a list of its lines is ever
+    held. Blank lines are skipped, and errors name the original line.
+    Checked in order: header, line count, the first edge line that is not
+    two integers."""
+    opened = isinstance(source, (str, Path))
     us: list[int] = []
     vs: list[int] = []
     bad_lines: list[int] = []  # edge lines that are not two integers
-    lines = enumerate(map(str.split, text.split("\n")), 1)
-    for lineno, tokens in lines:
-        if tokens:
+    with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
+        lines = enumerate(map(str.split, text), 1)
+        for lineno, tokens in lines:
+            if tokens:
+                try:
+                    n, m = map(int, tokens)  # exactly two tokens
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: expected header 'n m'") from exc
+                break
+        else:
+            raise ValueError("empty edge-list file")
+        for lineno, tokens in lines:
+            if not tokens:
+                continue
             try:
-                n, m = map(int, tokens)  # exactly two tokens
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: expected header 'n m'") from exc
-            break
-    else:
-        raise ValueError("empty edge-list file")
-    for lineno, tokens in lines:
-        if not tokens:
-            continue
-        try:
-            u, v = tokens
-            u, v = int(u), int(v)
-        except ValueError:
-            bad_lines.append(lineno)
-            continue
-        us.append(u)
-        vs.append(v)
+                u, v = tokens
+                u, v = int(u), int(v)
+            except ValueError:
+                bad_lines.append(lineno)
+                continue
+            us.append(u)
+            vs.append(v)
     found = len(us) + len(bad_lines)
     if found != m:
         raise ValueError(f"expected {m} edge lines, found {found}")
@@ -274,6 +287,16 @@ def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[in
 def read_edge_list(source: str | Path | IO[str]) -> Graph:
     """Parse an edge-list file into two endpoint columns, then build the
     graph from their pairs. The line checks of the parse come first, then
-    :func:`from_edge_list`'s checks."""
+    :func:`from_edge_list`'s checks.
+
+    Each parsed id is its own int object. When every id lies in ``[0, n)``,
+    both columns are mapped onto one shared object per vertex id before
+    the build, so the graph's rows hold ``n`` ids and not one per edge end;
+    other files reach :func:`from_edge_list` as parsed, for its messages.
+    """
     n, us, vs = _edge_columns(source)
+    if us and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n:
+        get = list(range(n)).__getitem__
+        us = list(map(get, us))
+        vs = list(map(get, vs))
     return from_edge_list(n, zip(us, vs))

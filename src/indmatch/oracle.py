@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
-from typing import Iterable
+from pathlib import Path
+from typing import IO, Iterable
 
 from .generators import _projective_points, _require_prime
 from .graph import (
@@ -19,7 +20,6 @@ from .graph import (
     VertexSet,
     _matching_owner,
     _not_an_id,
-    canonical_matching,
     from_edge_list,
     ordered_edge,
 )
@@ -216,13 +216,70 @@ def from_edge_list_bf(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
+def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
+    """Whole-text twin of :func:`indmatch.graph.read_edge_list`: reads the
+    text at once (``read_text`` on a path), splits it at each LF and builds
+    the graph from the parsed ids as they are. Same checks in the same
+    order, with the same messages."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+    else:
+        text = source.read()
+    us: list[int] = []
+    vs: list[int] = []
+    bad_lines: list[int] = []  # edge lines that are not two integers
+    lines = enumerate(map(str.split, text.split("\n")), 1)
+    for lineno, tokens in lines:
+        if tokens:
+            try:
+                n, m = map(int, tokens)  # exactly two tokens
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: expected header 'n m'") from exc
+            break
+    else:
+        raise ValueError("empty edge-list file")
+    for lineno, tokens in lines:
+        if not tokens:
+            continue
+        try:
+            u, v = tokens
+            u, v = int(u), int(v)
+        except ValueError:
+            bad_lines.append(lineno)
+            continue
+        us.append(u)
+        vs.append(v)
+    found = len(us) + len(bad_lines)
+    if found != m:
+        raise ValueError(f"expected {m} edge lines, found {found}")
+    if bad_lines:
+        raise ValueError(f"line {bad_lines[0]}: expected two integers")
+    return from_edge_list(n, zip(us, vs))
+
+
+def canonical_matching_bf(edges: Iterable[tuple[int, int]]) -> Matching:
+    """Set-and-sort twin of :func:`indmatch.graph.canonical_matching`,
+    which always builds a new tuple: each pair is checked and ordered,
+    then the set of pairs is sorted."""
+    seen = set()
+    for u, v in edges:
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise _not_an_id(u, v) from None
+        if u == v:
+            raise ValueError(f"degenerate matching edge ({u}, {v})")
+        seen.add(ordered_edge(u, v))
+    return tuple(sorted(seen))
+
+
 def is_induced_matching_bf(g: Graph, matching) -> bool:
     """Exhaustive recheck of the induced-matching property.
 
     Independent of :func:`indmatch.graph.is_induced_matching`: compares the
     full edge set over all endpoint pairs instead of walking adjacency.
     """
-    edges = canonical_matching(matching)
+    edges = canonical_matching_bf(matching)
     all_edges = set(g.edges())
     for e in edges:
         if e not in all_edges:

@@ -53,9 +53,12 @@ class PipelineConfig:
 
     ``B`` declares the forbidden complete bipartite subgraph K_{B,B}; it is
     not detected, only used to derive the triangle-budget exponent
-    ``epsilon = 1 / (2B)`` when ``epsilon`` is not given explicitly. A
-    budget violation downstream is the detection signal that the input is
-    denser than declared.
+    ``epsilon = 1 / (2B)`` when ``epsilon`` is not given explicitly. The
+    global triangle budget does not detect a denser input at that
+    exponent: a quotient of max degree d has at most ``n*d*(d-1)/6``
+    triangles against a budget of ``n * d**(2 - epsilon)``, so it can fire
+    only when ``d**epsilon > 6``, that is ``d > 6**(2B)`` (1296 at B=2).
+    A per-vertex check that can fire is ROADMAP item 4.
     """
 
     B: int = 2

@@ -19,9 +19,11 @@ from indmatch import (
 )
 from indmatch.graph import canonical_matching
 from indmatch.oracle import (
+    canonical_matching_bf,
     count_triangles_bf,
     from_edge_list_bf,
     is_independent_set,
+    read_edge_list_bf,
     validate_graph,
 )
 
@@ -263,6 +265,59 @@ def test_is_induced_matching_rejects_non_integer_ids(c6):
     assert is_induced_matching(c6, [(False, True)])
 
 
+class _Index:
+    """An id that is not an int but converts through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+_matching_ids = st.one_of(
+    st.integers(-2, 9),
+    st.booleans(),
+    st.integers(0, 9).map(_Index),
+    st.floats(-1, 9),
+    st.sampled_from(["0", "1", "x"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_matching_matches_set_and_sort_twin(data):
+    vertex = st.integers(0, 9)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    if data.draw(st.booleans()):  # sorted tuples, as the pipeline passes them
+        pairs = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    if pairs:  # reversed and duplicate pairs
+        pairs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    odd = data.draw(st.none() | st.tuples(_matching_ids, _matching_ids))
+    if odd is not None:
+        pairs.insert(data.draw(st.integers(0, len(pairs))), odd)
+    if data.draw(st.booleans()):
+        pairs = [list(e) for e in pairs]
+    edges = data.draw(st.sampled_from([tuple, list]))(pairs)
+
+    def outcome(canonical):
+        try:
+            result = canonical(edges)
+        except ValueError as exc:
+            return str(exc)
+        # the types too: a bool or an __index__ id must come back as an int
+        return repr(result), [tuple(map(type, e)) for e in result]
+
+    expected = outcome(canonical_matching_bf)
+    assert outcome(canonical_matching) == expected
+    if not isinstance(expected, str):  # the twin's output is canonical
+        twin = canonical_matching_bf(edges)
+        assert canonical_matching(twin) is twin
+
+
 def test_induced_matching_implies_matching_and_vertex_count(c6):
     m = canonical_matching([(0, 1), (3, 4)])
     assert is_induced_matching(c6, m)
@@ -313,6 +368,11 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("3 2\n1 1\n0 5\n"))
     with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=3"):
         read_edge_list(io.StringIO("\r\n3 1\r\n\r\n0 5\r\n"))
+    # negative ids are out of range too, not counted from the end
+    with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range for n=3"):
+        read_edge_list(io.StringIO("3 2\n0 1\n0 -1\n"))
+    with pytest.raises(ValueError, match=r"edge \(-3, 2\) out of range for n=3"):
+        read_edge_list(io.StringIO("3 1\n-3 2\n"))
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         read_edge_list(io.StringIO("-1 1\n0 1\n"))
 
@@ -321,6 +381,80 @@ def test_edge_list_reader_accepts_crlf_and_blank_lines():
     expected = from_edge_list(3, [(0, 1)])
     assert read_edge_list(io.StringIO("3 1\r\n0 1\r\n")) == expected
     assert read_edge_list(io.StringIO("\n\n3 1\n\n1 0\n\n")) == expected
+
+
+def _spelled(i: int, prefix: str) -> str:
+    """``i`` written with ``prefix`` ("", "+" or "0") after any minus sign;
+    each spelling parses back to ``i``."""
+    return f"-{prefix.lstrip('+')}{-i}" if i < 0 else f"{prefix}{i}"
+
+
+_prefix = st.sampled_from(["", "", "+", "0"])
+_id_token = st.builds(_spelled, st.integers(-3, 13), _prefix)
+_odd_token = st.sampled_from(["x", "1.5", "0x1", "1_0", "--1", "\u0663"])
+_odd_line = st.one_of(
+    st.tuples(_id_token, _id_token),
+    st.tuples(_id_token | _odd_token, _id_token | _odd_token),
+    st.tuples(_id_token),
+    st.tuples(_id_token, _id_token, _id_token),
+)
+
+
+@pytest.fixture(scope="module")
+def edge_list_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge-lists")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_edge_list_reader_matches_whole_text_twin(edge_list_dir, data):
+    # a file of edges on [0, n), reversed, repeated or looped at random;
+    # then maybe with odd lines inserted (ids out of range, not integers,
+    # wrong token counts) or a wrong edge count
+    n = data.draw(st.integers(-1, 2) | st.integers(3, 12))
+    vertex = st.builds(_spelled, st.integers(0, max(n - 1, 0)), _prefix)
+    lines = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    if data.draw(st.booleans()):
+        for line in data.draw(st.lists(_odd_line, min_size=1, max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+    count = len(lines) + data.draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    header = (str(n), str(max(count, 0)))
+    lines.insert(data.draw(st.sampled_from([0, 0, 0, len(lines)])), header)  # mostly first
+    if data.draw(st.booleans()):  # blank lines anywhere, header included
+        for _ in range(data.draw(st.integers(1, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))), ())
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(
+        data.draw(sep).join(tokens) + data.draw(ends) for tokens in lines
+    ) + data.draw(st.sampled_from(["", "", " ", "0"]))
+    path = edge_list_dir / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read, source):
+        try:
+            g = read(source)
+        except ValueError as exc:
+            return str(exc)
+        return g.n, g.adjacency
+
+    assert outcome(read_edge_list, path) == outcome(read_edge_list_bf, path)
+    assert outcome(read_edge_list, str(path)) == outcome(read_edge_list_bf, path)
+    stream = outcome(read_edge_list, io.StringIO(text))
+    assert stream == outcome(read_edge_list_bf, io.StringIO(text))
+
+
+def test_edge_list_reader_keeps_one_id_object_per_vertex(tmp_path):
+    g = random_regular(2000, 4, 3)
+    # every edge twice, the second time reversed, so each id is parsed
+    # four times over and out of order
+    text = f"{g.n} {2 * g.m}\n" + "".join(f"{u} {v}\n{v} {u}\n" for u, v in g.edges())
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        again = read_edge_list(source)
+        assert again == g
+        assert len({id(w) for row in again.adjacency for w in row}) == g.n
 
 
 @settings(max_examples=60, deadline=None)

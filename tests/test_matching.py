@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indmatch import (
+    PipelineConfig,
     contract_matching,
     enumerate_triangles,
     extract_matching,
@@ -16,9 +17,11 @@ from indmatch import (
     misra_gries_edge_color,
     named_fixture,
     polarity_graph,
+    prepare_pipeline,
     projective_incidence_graph,
     pull_back_matching,
     random_regular,
+    run_prepared,
 )
 from indmatch import graph as graph_module, matching as matching_module
 from indmatch.matching import EdgeColoring
@@ -276,3 +279,22 @@ def test_contracted_independent_sets_pull_back_to_oracle_valid(heawood):
     pulled = pull_back_matching(cg, witness)
     assert is_induced_matching(heawood, pulled)
     assert len(pulled) == size
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: projective_incidence_graph(7), lambda: random_regular(2000, 4, 3)],
+    ids=["proj-7", "rr-2000-4-3"],
+)
+def test_stage_matchings_are_canonical_already(build):
+    # every stage hands on a canonical tuple, so no stage after it copies
+    g = build()
+    canonical = graph_module.canonical_matching
+    greedy = greedy_matching(g)
+    extracted = extract_matching(g, misra_gries_edge_color(g))
+    prep = prepare_pipeline(g, PipelineConfig())
+    pulled = pull_back_matching(prep.contracted, range(0, prep.contracted.graph.n, 3))
+    certified = run_prepared(prep, 0).matching
+    for m in (greedy, extracted, prep.matching, pulled, certified):
+        assert m and canonical(m) is m
+    assert prep.contracted.rep is prep.matching
