@@ -125,51 +125,75 @@ def polarity_graph(q: int) -> Graph:
     return Graph(len(rows), rows)
 
 
-def _pairing_suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+def _shuffle(x: list[int], rng: random.Random) -> None:
+    """Fisher-Yates shuffle of ``x`` in place, drawing exactly as
+    ``rng.shuffle(x)`` does: ``Random._randbelow_with_getrandbits`` is
+    inlined, so the same ``getrandbits`` calls come in the same order and
+    leave ``rng`` in the same state. The draws are pinned here rather than
+    in the standard library."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        # pick an element in x[:i+1] with which to exchange x[i]
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _pairing_suitable(rows: list[list[int]], leftover: dict[int, int]) -> bool:
     # A stuck pairing round can still finish iff some pair of leftover stubs
     # joins non-adjacent distinct vertices.
     if not leftover:
         return True
     nodes = list(leftover)
     for i, s1 in enumerate(nodes):
+        row = rows[s1]
         for s2 in nodes[i + 1 :]:
-            pair = (s1, s2) if s1 < s2 else (s2, s1)
-            if pair not in edges:
+            if s2 not in row:
                 return True
     return False
 
 
-def _try_pairing(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | None:
-    edges: set[tuple[int, int]] = set()
+def _try_pairing(n: int, d: int, rng: random.Random) -> list[list[int]] | None:
+    # Each accepted pair goes straight into both rows; a row holds at most d
+    # entries, so the repeated-pair test is a short scan.
+    rows: list[list[int]] = [[] for _ in range(n)]
     stubs = list(range(n)) * d
     while stubs:
         leftover: dict[int, int] = defaultdict(int)
-        rng.shuffle(stubs)
+        _shuffle(stubs, rng)
         it = iter(stubs)
         for s1, s2 in zip(it, it):
+            # the swap fixes leftover's insertion order, hence the next round
             if s1 > s2:
                 s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
+            row = rows[s1]
+            if s1 != s2 and s2 not in row:
+                row.append(s2)
+                rows[s2].append(s1)
             else:
                 leftover[s1] += 1
                 leftover[s2] += 1
         if not leftover:
-            return edges
-        if not _pairing_suitable(edges, leftover):
+            return rows
+        if not _pairing_suitable(rows, leftover):
             return None
         stubs = [v for v, cnt in leftover.items() for _ in range(cnt)]
-    return edges
+    return rows
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random ``d``-regular graph on ``n`` vertices from the pairing model.
 
-    Half-edge stubs are paired after a shuffle; colliding stubs (loops and
-    repeated pairs) are re-shuffled among themselves until none remain, and
-    the whole sample restarts when a round gets stuck. Deterministic in
-    ``seed``. Raises :class:`GenerationError` after
-    ``PAIRING_RESTART_BUDGET`` restarts.
+    Half-edge stubs are paired after a Fisher-Yates shuffle whose draws are
+    pinned in this module (:func:`_shuffle`, the same ``getrandbits`` calls
+    as ``random.Random.shuffle``). Each accepted pair goes straight into its
+    two adjacency rows; colliding stubs (loops and repeated pairs) are
+    re-shuffled among themselves until none remain, and the whole sample
+    restarts when a round gets stuck. Deterministic in ``seed``. Raises
+    :class:`GenerationError` after ``PAIRING_RESTART_BUDGET`` restarts.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
@@ -179,11 +203,13 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = random.Random(seed)
     for _ in range(PAIRING_RESTART_BUDGET):
-        edges = _try_pairing(n, d, rng)
-        if edges is not None:
-            # drained while the rows fill, so the pairs and the graph never
-            # coexist in full; the rows are sorted, so the order is moot
-            return from_edge_list(n, (edges.pop() for _ in range(len(edges))))
+        rows = _try_pairing(n, d, rng)
+        if rows is not None:
+            # each list gives way to its tuple, so the two never coexist in full
+            for v, row in enumerate(rows):
+                row.sort()
+                rows[v] = tuple(row)
+            return Graph(n, tuple(rows))
     raise GenerationError(
         f"no simple {d}-regular pairing on {n} vertices after "
         f"{PAIRING_RESTART_BUDGET} restarts"

@@ -45,10 +45,10 @@ class Graph:
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Untrusted
     pairs enter through :func:`from_edge_list`, which enforces the invariants
     (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
-    ``contract_matching`` and the projective and polarity generators build
-    such rows directly, checked by ``oracle.validate_graph`` in tests. Derived
-    facts (``m``, ``degree_profile``, ``triangles``) are computed on first
-    use and cached on the graph.
+    ``contract_matching`` and the projective, polarity and ``random_regular``
+    generators build such rows directly, checked by ``oracle.validate_graph``
+    in tests. Derived facts (``m``, ``degree_profile``, ``triangles``) are
+    computed on first use and cached on the graph.
     """
 
     n: int

@@ -7,13 +7,16 @@ exponential blowups from hanging a test run; callers may override them.
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
 from pathlib import Path
 from typing import IO, Iterable
 
-from .generators import _projective_points, _require_prime
+from . import generators
+from .generators import GenerationError, _projective_points, _require_prime
 from .graph import (
     Graph,
     Matching,
@@ -384,3 +387,65 @@ def polarity_graph_bf(q: int) -> Graph:
         if _dot(pts[i], pts[j], q) == 0
     ]
     return from_edge_list(n, edges)
+
+
+def _pairing_suitable_bf(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    # A stuck pairing round can still finish iff some pair of leftover stubs
+    # joins non-adjacent distinct vertices.
+    if not leftover:
+        return True
+    nodes = list(leftover)
+    for i, s1 in enumerate(nodes):
+        for s2 in nodes[i + 1 :]:
+            pair = (s1, s2) if s1 < s2 else (s2, s1)
+            if pair not in edges:
+                return True
+    return False
+
+
+def _try_pairing_bf(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        leftover: dict[int, int] = defaultdict(int)
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] += 1
+                leftover[s2] += 1
+        if not leftover:
+            return edges
+        if not _pairing_suitable_bf(edges, leftover):
+            return None
+        stubs = [v for v, cnt in leftover.items() for _ in range(cnt)]
+    return edges
+
+
+def random_regular_bf(n: int, d: int, seed: int) -> Graph:
+    """Edge-set twin of :func:`indmatch.generators.random_regular`: the
+    same pairing model and restarts, with the stubs shuffled by
+    ``random.Random.shuffle``, the accepted pairs kept in a set of edge
+    tuples and the graph built by :func:`from_edge_list`. Reads
+    ``generators.PAIRING_RESTART_BUDGET`` at call time."""
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be nonnegative")
+    if d >= n and not (n == 0 and d == 0):
+        raise ValueError(f"degree {d} requires more than {n} vertices")
+    if n * d % 2 != 0:
+        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    rng = random.Random(seed)
+    budget = generators.PAIRING_RESTART_BUDGET
+    for _ in range(budget):
+        edges = _try_pairing_bf(n, d, rng)
+        if edges is not None:
+            # drained while the rows fill, so the pairs and the graph never
+            # coexist in full; the rows are sorted, so the order is moot
+            return from_edge_list(n, (edges.pop() for _ in range(len(edges))))
+    raise GenerationError(
+        f"no simple {d}-regular pairing on {n} vertices after {budget} restarts"
+    )

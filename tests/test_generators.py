@@ -1,10 +1,15 @@
 import hashlib
+import random
+import re
 from collections import Counter, deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmatch import (
+    GenerationError,
     GeneratorSpec,
     build_graph,
     enumerate_triangles,
@@ -13,10 +18,12 @@ from indmatch import (
     projective_incidence_graph,
     random_regular,
 )
+from indmatch import generators, oracle
 from indmatch.oracle import (
     is_c4_free_bf,
     polarity_graph_bf,
     projective_incidence_graph_bf,
+    random_regular_bf,
     validate_graph,
 )
 
@@ -176,6 +183,75 @@ def test_random_regular_d0_and_large_degree():
     assert g.m == 0
     big = random_regular(100, 20, 5)
     assert big.degree_profile == (20, 20, True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 99, -3, 2**70 + 5])
+def test_shuffle_draws_as_random_shuffle(seed):
+    for length in range(65):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        a, b = list(range(length)), list(range(length))
+        generators._shuffle(a, r1)
+        r2.shuffle(b)
+        assert a == b, length
+        assert r1.getstate() == r2.getstate(), length
+
+
+def _generated(build, n, d, seed):
+    """The rows ``build`` returns, checked, or its ``GenerationError`` text."""
+    try:
+        g = build(n, d, seed)
+    except GenerationError as exc:
+        return str(exc)
+    validate_graph(g)
+    return g.adjacency
+
+
+@st.composite
+def _regular_params(draw):
+    n = draw(st.integers(0, 40))
+    d = draw(st.integers(0, max(n - 1, 0)))
+    if n * d % 2:
+        d -= 1
+    return n, d, draw(st.integers())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_regular_params())
+def test_random_regular_matches_edge_set_twin(params):
+    n, d, seed = params
+    got = _generated(random_regular, n, d, seed)
+    assert got == _generated(random_regular_bf, n, d, seed)
+    if not isinstance(got, str):
+        assert {len(row) for row in got} <= {d}
+
+
+@pytest.mark.parametrize("n,d,seed,pairings", [(12, 5, 2, 8), (20, 3, 10, 5)])
+def test_random_regular_restarts_match_the_twin(monkeypatch, n, d, seed, pairings):
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(generators, "_try_pairing")
+    count(oracle, "_try_pairing_bf")
+    g = random_regular(n, d, seed)
+    validate_graph(g)
+    assert g == random_regular_bf(n, d, seed)
+    assert counts == {"_try_pairing": pairings, "_try_pairing_bf": pairings}
+
+
+def test_random_regular_raises_after_the_restart_budget(monkeypatch):
+    monkeypatch.setattr(generators, "PAIRING_RESTART_BUDGET", 2)
+    message = "no simple 5-regular pairing on 12 vertices after 2 restarts"
+    for build in (random_regular, random_regular_bf):
+        with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+            build(12, 5, 2)
 
 
 def test_fixture_examples(petersen):

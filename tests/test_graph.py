@@ -116,6 +116,13 @@ def test_graph_building_peaks_near_the_retained_size(tmp_path):
     assert peak <= 0.1 * graph_bytes, (peak, graph_bytes)
 
 
+def test_random_regular_peaks_near_the_retained_size():
+    # the pairs go straight into the rows: no edge set is held beside them
+    peak, retained, g = _traced_bytes(lambda: random_regular(20000, 4, 1))
+    assert g.degree_profile == (4, 4, True)
+    assert peak <= 1.6 * retained, (peak, retained)
+
+
 def test_graph_is_immutable(petersen):
     with pytest.raises(AttributeError):
         petersen.n = 3
