@@ -72,18 +72,22 @@ class Graph:
     def triangles(self) -> tuple[Triangle, ...]:
         """All triangles, each exactly once as a sorted tuple, in sorted order.
 
-        Neighbor intersection over the (degree, id) order, read off the int
-        rank ``len(row) * n + v`` (exact, since ``0 <= v < n``): every
-        triangle is reported from its lowest-rank vertex, so no
-        deduplication pass is needed, and the listing takes O(m^1.5) time.
+        Neighbor intersection over the (degree, id) order: ``w`` follows
+        ``v`` iff ``(deg[w], w) > (deg[v], v)``, read off one list of the
+        degrees (small cached ints), so no rank is computed per vertex. Each
+        vertex keeps the tuple of its later neighbors, and every triangle is
+        reported from its first vertex in that order, so no deduplication
+        pass is needed, and the listing takes O(m^1.5) time.
         """
-        n, adjacency = self.n, self.adjacency
-        rank = [len(row) * n + v for v, row in enumerate(adjacency)]
-        forward = [[w for w in row if rank[w] > r] for row, r in zip(adjacency, rank)]
+        adjacency = self.adjacency
+        deg = [len(row) for row in adjacency]
+        forward = [
+            tuple([w for w in row if deg[w] > d or (deg[w] == d and w > v)])
+            for v, (row, d) in enumerate(zip(adjacency, deg))
+        ]
         triangles: list[Triangle] = []
-        for u in range(n):
-            fu = forward[u]
-            if len(fu) < 2:  # u is the lowest-rank vertex of its triangles
+        for u, fu in enumerate(forward):
+            if len(fu) < 2:  # u is the first vertex of its triangles
                 continue
             later = set(fu)
             for v in fu:
@@ -186,25 +190,33 @@ def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     return tuple(sorted(seen))
 
 
+def _present_edges(g: Graph, matching) -> Matching:
+    """Canonical edges of ``matching``. Any edge out of range or absent from
+    ``g`` raises ``ValueError``, wherever it stands in the matching; edges
+    sharing an endpoint are left to the caller."""
+    edges = canonical_matching(matching)
+    n, adjacency = g.n, g.adjacency
+    for u, v in edges:
+        if u < 0 or v >= n:  # canonical: u < v
+            raise ValueError(f"matching edge ({u}, {v}) out of range for n={n}")
+        if v not in adjacency[u]:
+            raise ValueError(f"matching edge ({u}, {v}) not present in graph")
+    return edges
+
+
 def _matching_owner(g: Graph, matching) -> tuple[Matching, list[int] | None]:
     """Canonical edges of ``matching`` and the flat owner list: entry ``v``
     is the index of the edge at endpoint ``v``, and ``-1`` at every other
     host vertex. The list is ``None`` when two edges share an endpoint; any
     edge out of range or absent from ``g`` raises ``ValueError`` first,
     wherever it stands in the matching."""
-    edges = canonical_matching(matching)
-    n, adjacency = g.n, g.adjacency
-    owner = [-1] * n
-    shared = False
+    edges = _present_edges(g, matching)
+    owner = [-1] * g.n
     for idx, (u, v) in enumerate(edges):
-        if u < 0 or v >= n:  # canonical: u < v
-            raise ValueError(f"matching edge ({u}, {v}) out of range for n={n}")
-        if v not in adjacency[u]:
-            raise ValueError(f"matching edge ({u}, {v}) not present in graph")
         if owner[u] >= 0 or owner[v] >= 0:
-            shared = True
+            return edges, None
         owner[u] = owner[v] = idx
-    return edges, None if shared else owner
+    return edges, owner
 
 
 def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
@@ -212,17 +224,18 @@ def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
     on its endpoints contains no edge beyond the matching itself.
 
     Raises ``ValueError`` when a listed endpoint lies outside ``[0, n)`` or
-    a listed edge is absent from ``g``.
+    a listed edge is absent from ``g``, wherever it stands in the matching.
+    Beyond the canonical edges, the only temporary is the set of their
+    endpoints: no list or mask of size ``n`` is built.
     """
-    edges, owner = _matching_owner(g, matching)
-    if owner is None:
+    edges = _present_edges(g, matching)
+    endpoints = set(chain.from_iterable(edges))
+    if len(endpoints) != 2 * len(edges):  # two edges share an endpoint
         return False
-    # each endpoint's only matched neighbor is its partner
-    endpoints, adjacency = {v for e in edges for v in e}, g.adjacency
-    for v in endpoints:
-        if len(endpoints.intersection(adjacency[v])) != 1:
-            return False
-    return True
+    # every endpoint has its partner as a matched neighbor, so the counts
+    # sum to len(endpoints) iff none has another
+    rows = map(g.adjacency.__getitem__, endpoints)
+    return sum(map(len, map(endpoints.intersection, rows))) == len(endpoints)
 
 
 # Edge-list text format: first line "n m", then m lines "u v" (0-indexed,

@@ -229,9 +229,10 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
 def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:
     """Map an independent set of the quotient back to host edges; the result
     is an induced matching of the host. A vertex outside ``[0, n)`` of the
-    quotient raises ``ValueError``."""
+    quotient raises ``ValueError``. A frozenset, which is what
+    ``sparsify_independent_set`` returns, is read as given, not copied."""
     rep = contracted.rep
-    chosen = set(vertices)
+    chosen = frozenset(vertices)
     for x in chosen:
         if not 0 <= x < len(rep):
             raise ValueError(f"vertex {x} out of range for n={len(rep)}")

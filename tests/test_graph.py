@@ -1,5 +1,6 @@
 import gc
 import io
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -8,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indmatch import (
+    contract_matching,
     enumerate_triangles,
     from_edge_list,
+    greedy_matching,
     induced_subgraph,
     is_induced_matching,
     named_fixture,
+    pull_back_matching,
     random_regular,
     read_edge_list,
     write_edge_list,
 )
-from indmatch.graph import canonical_matching
+from indmatch.graph import Graph, canonical_matching
 from indmatch.oracle import (
     canonical_matching_bf,
     count_triangles_bf,
@@ -114,6 +118,36 @@ def test_graph_building_peaks_near_the_retained_size(tmp_path):
     peak, _, _ = _traced_bytes(lambda: write_edge_list(g, copy))
     assert copy.read_bytes() == path.read_bytes()
     assert peak <= 0.1 * graph_bytes, (peak, graph_bytes)
+
+
+def test_certify_builds_no_vertex_sized_temporary():
+    # only the matching's endpoints are held, however many vertices g has
+    g = from_edge_list(10**5, [(0, 1)])
+    peak, _, ok = _traced_bytes(lambda: is_induced_matching(g, ((0, 1),)))
+    assert ok
+    assert peak < 64 * 1024, peak
+
+
+def test_triangle_listing_peaks_below_the_quotient_size():
+    # the order reads a list of degrees, not one rank int per vertex, and
+    # the forward rows are tuples
+    g = random_regular(20000, 4, 1)
+    matching = greedy_matching(g)
+    _, quotient_bytes, contracted = _traced_bytes(lambda: contract_matching(g, matching))
+    q = contracted.graph
+    peak, _, _ = _traced_bytes(lambda: Graph.triangles.func(q))
+    assert peak <= 0.8 * quotient_bytes, (peak, quotient_bytes)
+
+
+def test_pull_back_reads_a_frozenset_uncopied():
+    # sparsify returns a frozenset; pulling it back must not copy it
+    k = 16384
+    g = from_edge_list(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    contracted = contract_matching(g, greedy_matching(g))
+    chosen = frozenset(range(k))
+    peak, _, pulled = _traced_bytes(lambda: pull_back_matching(contracted, chosen))
+    assert pulled == contracted.rep
+    assert peak < sys.getsizeof(chosen), (peak, sys.getsizeof(chosen))
 
 
 def test_random_regular_peaks_near_the_retained_size():

@@ -86,11 +86,16 @@ def test_witnesses_pass_fast_verifiers(petersen, heawood, c6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(max_n=8, min_n=1))
-def test_fast_and_exhaustive_induced_checks_agree(g):
+@given(graphs(max_n=8, min_n=1), st.data())
+def test_fast_and_exhaustive_induced_checks_agree(g, data):
     size, matching = max_induced_matching_bf(g)
     assert is_induced_matching(g, matching) == is_induced_matching_bf(g, matching)
     edges = sorted(g.edges())
+    # any subset of g's own edges, some reversed or repeated: every edge is
+    # present, so the verdict rests on the disjointness and induced tests
+    either_way = st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e, e[::-1]]))
+    subset = data.draw(st.lists(either_way, max_size=6)) if edges else []
+    assert is_induced_matching(g, subset) == is_induced_matching_bf(g, subset)
     if len(edges) >= 2:
         pair = [edges[0], edges[-1]]
         try:
