@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import generators, oracle
-from .graph import is_induced_matching, read_edge_list, write_edge_list
+from .graph import edge_line_columns, is_induced_matching, read_edge_list, write_edge_list
 from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
@@ -73,7 +73,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         degree_cutoff=args.d0,
         max_retries=args.max_retries,
         seed=args.seed,
-        greedy_fallback=args.greedy_fallback,
     )
 
 
@@ -91,7 +90,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         "--d0", type=int, default=PipelineConfig.degree_cutoff, help="degree cutoff that skips sampling"
     )
     parser.add_argument("--max-retries", type=int, default=PipelineConfig.max_retries)
-    parser.add_argument("--greedy-fallback", action="store_true")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -255,23 +253,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
-    edges = []
-    text = Path(args.certificate).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            print(f"line {lineno}: expected two integers", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            print(f"line {lineno}: expected two integers", file=sys.stderr)
-            return EXIT_USAGE
-        edges.append((u, v))
+    with open(args.certificate, encoding="utf-8") as text:
+        us, vs, bad_lines = edge_line_columns(text)
+    if bad_lines:
+        print(f"line {bad_lines[0]}: expected two integers", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        valid = is_induced_matching(graph, edges)
+        valid = is_induced_matching(graph, zip(us, vs))
     except ValueError as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID

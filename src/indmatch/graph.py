@@ -255,22 +255,43 @@ def write_edge_list(g: Graph, target: str | Path | IO[str]) -> None:
             out.write(chunk)
 
 
+def edge_line_columns(
+    lines: Iterable[str], start: int = 1
+) -> tuple[list[int], list[int], list[int]]:
+    """The two int columns of edge lines ``u v``, and the numbers of the
+    lines that are not two integers. Lines are numbered from ``start`` and
+    read as given, one at a time: a file opened with universal newlines
+    ends a line at LF, CRLF or a lone CR, and a form feed or U+2028 is
+    whitespace inside a line. Blank lines are skipped."""
+    us: list[int] = []
+    vs: list[int] = []
+    bad_lines: list[int] = []
+    for lineno, tokens in enumerate(map(str.split, lines), start):
+        if not tokens:
+            continue
+        try:
+            u, v = tokens
+            u, v = int(u), int(v)
+        except ValueError:
+            bad_lines.append(lineno)
+            continue
+        us.append(u)
+        vs.append(v)
+    return us, vs, bad_lines
+
+
 def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[int]]:
     """The vertex count and the two endpoint columns of an edge-list file.
     One pass over the lines, streamed: a path is opened with universal
-    newlines (CRLF and a lone CR end a line too), and an IO source is
-    iterated as given, so neither the text nor a list of its lines is ever
-    held. Blank lines are skipped, and errors name the original line.
-    Checked in order: header, line count, the first edge line that is not
-    two integers."""
+    newlines, and an IO source is iterated as given, so neither the text
+    nor a list of its lines is ever held. The header is the first line
+    that is not blank; :func:`edge_line_columns` reads the rest, and errors
+    name the original line. Checked in order: header, line count, the
+    first edge line that is not two integers."""
     opened = isinstance(source, (str, Path))
-    us: list[int] = []
-    vs: list[int] = []
-    bad_lines: list[int] = []  # edge lines that are not two integers
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
-        lines = enumerate(map(str.split, text), 1)
-        for lineno, tokens in lines:
-            if tokens:
+        for lineno, line in enumerate(text, 1):
+            if tokens := line.split():
                 try:
                     n, m = map(int, tokens)  # exactly two tokens
                 except ValueError as exc:
@@ -278,17 +299,7 @@ def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[in
                 break
         else:
             raise ValueError("empty edge-list file")
-        for lineno, tokens in lines:
-            if not tokens:
-                continue
-            try:
-                u, v = tokens
-                u, v = int(u), int(v)
-            except ValueError:
-                bad_lines.append(lineno)
-                continue
-            us.append(u)
-            vs.append(v)
+        us, vs, bad_lines = edge_line_columns(text, lineno + 1)
     found = len(us) + len(bad_lines)
     if found != m:
         raise ValueError(f"expected {m} edge lines, found {found}")

@@ -30,7 +30,6 @@ from .matching import (
 from .sparsify import (
     DEFAULT_DEGREE_CUTOFF,
     DEFAULT_MAX_RETRIES,
-    RetriesExhausted,
     TriangleBudgetExceeded,
     check_run_limits,
     sparsify_independent_set,
@@ -49,7 +48,8 @@ class EmptyMatchingError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run.
+    """Knobs for one pipeline run. A run whose ``max_retries`` sampling
+    attempts all fail raises ``RetriesExhausted``; no other path is taken.
 
     ``B`` declares the forbidden complete bipartite subgraph K_{B,B}; it is
     not detected, only used to derive the triangle-budget exponent
@@ -66,7 +66,6 @@ class PipelineConfig:
     degree_cutoff: int = DEFAULT_DEGREE_CUTOFF
     max_retries: int = DEFAULT_MAX_RETRIES
     seed: int = 0
-    greedy_fallback: bool = False
 
     def __post_init__(self):
         if self.B < 2:
@@ -90,7 +89,6 @@ class PipelineStats:
     ratio: float | None  # size / ((n/d) * ln d), natural log; None when d < 2
     matching_below_quarter: bool  # flagged on irregular inputs
     bypassed: bool
-    fallback_used: bool
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,11 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
 
 
 def greedy_induced_matching(graph: Graph) -> Matching:
-    """Deterministic fallback: repeatedly take the lowest remaining edge and
-    delete both endpoints' closed neighborhoods.
+    """Host baseline, not a pipeline stage: repeatedly take the lowest
+    remaining edge and delete both endpoints' closed neighborhoods. The
+    benchmark reports its size as ``pipeline.greedy_im_size``; it is what a
+    greedy extension to a maximal induced matching of the host (ROADMAP
+    item 3) gives from the empty matching.
 
     One forward pass suffices: a vertex with no remaining higher neighbor
     never regains one, so the scan never has to restart.
@@ -191,27 +192,17 @@ def greedy_induced_matching(graph: Graph) -> Matching:
 
 
 def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
+    """Seeded stage: sparsify the contraction, pull back, certify.
+    ``RetriesExhausted`` propagates with its attempt trail."""
     config = prep.config
-    fallback_used = False
-    try:
-        found = sparsify_independent_set(
-            prep.contracted.graph,
-            prep.epsilon,
-            seed,
-            degree_cutoff=config.degree_cutoff,
-            max_retries=config.max_retries,
-        )
-        matching = pull_back_matching(prep.contracted, found.vertices)
-        attempts = found.attempts
-        bypassed = found.bypassed
-    except RetriesExhausted:
-        if not config.greedy_fallback:
-            raise
-        matching = greedy_induced_matching(prep.graph)
-        attempts = config.max_retries
-        bypassed = False
-        fallback_used = True
-
+    found = sparsify_independent_set(
+        prep.contracted.graph,
+        prep.epsilon,
+        seed,
+        degree_cutoff=config.degree_cutoff,
+        max_retries=config.max_retries,
+    )
+    matching = pull_back_matching(prep.contracted, found.vertices)
     certificate = is_induced_matching(prep.graph, matching)
     _, dmax, _ = prep.graph.degree_profile
     ratio = None
@@ -223,11 +214,10 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         contracted_max_degree=prep.contracted_max_degree,
         contracted_triangles=prep.contracted_triangles,
         budget=prep.budget,
-        attempts=attempts,
+        attempts=found.attempts,
         ratio=ratio,
         matching_below_quarter=prep.matching_below_quarter,
-        bypassed=bypassed,
-        fallback_used=fallback_used,
+        bypassed=found.bypassed,
     )
     return InducedMatchingResult(
         matching=matching,

@@ -111,6 +111,12 @@ def test_verify_examples(c6_file, tmp_path):
     empty.write_text("")
     assert run_cli("verify", c6_file, str(empty))[0] == 0
 
+    # certificate lines end as edge-list lines do; blank lines are skipped
+    for text in (b"0 1\r\n\r\n3 4\r\n", b"0 1\r\r3 4\r", b"\n0 1\n\n3 4"):
+        endings = tmp_path / "endings.txt"
+        endings.write_bytes(text)
+        assert run_cli("verify", c6_file, str(endings)) == (0, "valid\n", ""), text
+
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("0 1\nbogus line here\n")
     code, _, err = run_cli("verify", c6_file, str(malformed))
@@ -222,6 +228,27 @@ def test_oracle_limit_flag(tmp_path):
     assert code == 0 and out.splitlines()[0] == "size=15"
 
 
+def test_greedy_fallback_flag_is_gone():
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(["run", "g.txt", "--greedy-fallback"])
+    assert caught.value.code == 2
+
+
+def test_experiment_reports_exhausted_retries_as_rows():
+    code, out, err = run_cli(
+        "experiment",
+        "--family", "projective", "--q", "3", "--trials", "4",
+        "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "0",
+    )
+    assert code == 0, err
+    rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["retries"] * 3 + ["ok"]
+    for row in rows[:3]:
+        # blank stats columns, from match_size through ratio_ln
+        assert row.split(",")[4:11] == [""] * 7, row
+    assert "ok=1 " in out.splitlines()[-1]
+
+
 def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
     path = tmp_path / "c25.txt"
     write_edge_list(named_fixture("cycle-25"), path)
@@ -250,7 +277,13 @@ BAD_GRAPHS = {
     "missing-file": (None, "absent.txt"),
 }
 
-CERTIFICATES = {"cert": "0 1\n3 4\n", "three": "0 1\n3 4 5\n", "negative": "0 1\n-2 3\n"}
+CERTIFICATES = {
+    "cert": "0 1\n3 4\n",
+    "three": "0 1\n3 4 5\n",
+    "negative": "0 1\n-2 3\n",
+    # a form feed ends a line for str.splitlines, but not for a file
+    "formfeed": "0 1\x0c3 4\n",
+}
 
 GRAPH_READERS = {
     "run": lambda graph: ["run", graph],
@@ -268,6 +301,7 @@ MALFORMED = {
         for name, (_, needle) in BAD_GRAPHS.items()
     },
     "verify-three-tokens": (["verify", "{c6}", "{three}"], 2, "line 2:", "two integers"),
+    "verify-formfeed": (["verify", "{c6}", "{formfeed}"], 2, "line 1:", "two integers"),
     "verify-negative-id": (
         ["verify", "{c6}", "{negative}"], 1, "invalid certificate:", "out of range"
     ),

@@ -21,7 +21,7 @@ from indmatch import (
     read_edge_list,
     write_edge_list,
 )
-from indmatch.graph import Graph, canonical_matching
+from indmatch.graph import Graph, canonical_matching, edge_line_columns
 from indmatch.oracle import (
     canonical_matching_bf,
     count_triangles_bf,
@@ -416,6 +416,12 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("3 1\n-3 2\n"))
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         read_edge_list(io.StringIO("-1 1\n0 1\n"))
+
+
+def test_edge_line_columns_numbers_every_line():
+    lines = ["0 1\n", "\n", "2 x\n", "3 4 5\n", "-1 7\n", "0 1\x0c3 4\n"]
+    assert edge_line_columns(lines) == ([0, -1], [1, 7], [3, 4, 6])
+    assert edge_line_columns(lines, 10) == ([0, -1], [1, 7], [12, 13, 15])
 
 
 def test_edge_list_reader_accepts_crlf_and_blank_lines():

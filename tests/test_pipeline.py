@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from indmatch import (
+    AttemptStats,
     EmptyMatchingError,
     Graph,
     PipelineConfig,
@@ -126,17 +127,14 @@ def test_config_validation():
     assert PipelineConfig(B=2, epsilon=1.0).effective_epsilon() == 1.0
 
 
-def test_retries_exhausted_and_greedy_fallback():
+def test_retries_exhausted_carries_the_trail():
     g = named_fixture("cycle-25")
     failing = PipelineConfig(epsilon=0.1, degree_cutoff=0, max_retries=1, seed=3)
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted) as caught:
         induced_matching(g, failing)
-    rescued = PipelineConfig(
-        epsilon=0.1, degree_cutoff=0, max_retries=1, seed=3, greedy_fallback=True
-    )
-    result = induced_matching(g, rescued)
-    assert result.stats.fallback_used
-    assert result.certificate is True
+    (attempt,) = caught.value.attempts
+    assert isinstance(attempt, AttemptStats)
+    assert attempt.outcome != "pass"
 
 
 def test_greedy_induced_matching_direct(petersen):
