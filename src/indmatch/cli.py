@@ -192,9 +192,10 @@ def _sweep(
                 )
                 continue
             status = "ok" if result.certificate else "invalid"
-            ok += 1
-            if result.stats.ratio is not None:
-                ratios.append(result.stats.ratio)
+            if result.certificate:
+                ok += 1
+                if result.stats.ratio is not None:
+                    ratios.append(result.stats.ratio)
             rows.append(
                 _stats_row(args.family, str(param), graph.n, dmax, seed, result, status)
             )

@@ -58,7 +58,7 @@ class PipelineConfig:
     exponent: a quotient of max degree d has at most ``n*d*(d-1)/6``
     triangles against a budget of ``n * d**(2 - epsilon)``, so it can fire
     only when ``d**epsilon > 6``, that is ``d > 6**(2B)`` (1296 at B=2).
-    A per-vertex check that can fire is ROADMAP item 4.
+    A per-vertex check that can fire is ROADMAP's "hypothesis check" item.
     """
 
     B: int = 2
@@ -70,9 +70,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.B < 2:
             raise ValueError(f"B must be >= 2, got {self.B}")
-        if self.epsilon is not None and not 0 < self.epsilon < 3:
-            raise ValueError(f"epsilon must be in (0, 3), got {self.epsilon}")
-        check_run_limits(self.degree_cutoff, self.max_retries)
+        check_run_limits(self.effective_epsilon(), self.degree_cutoff, self.max_retries)
 
     def effective_epsilon(self) -> float:
         return self.epsilon if self.epsilon is not None else 1 / (2 * self.B)
@@ -87,7 +85,6 @@ class PipelineStats:
     budget: float
     attempts: int
     ratio: float | None  # size / ((n/d) * ln d), natural log; None when d < 2
-    matching_below_quarter: bool  # flagged on irregular inputs
     bypassed: bool
 
 
@@ -102,8 +99,9 @@ class InducedMatchingResult:
 @dataclass(frozen=True)
 class PreparedPipeline:
     """Deterministic prefix of a run: a matching with at least m/(Δ+1)
-    edges (greedy, with Misra-Gries as fallback), its contraction, and the
-    triangle budget check, all independent of the seed.
+    edges (greedy, with Misra-Gries as fallback) and its contraction, all
+    independent of the seed. Building one, also by ``dataclasses.replace``,
+    runs the run's only triangle budget check.
 
     The contraction's graph caches its triangles, enumerated once here, so a
     sweep over seeds pays for the enumeration once.
@@ -113,6 +111,11 @@ class PreparedPipeline:
     config: PipelineConfig
     matching: Matching
     contracted: ContractedGraph
+
+    def __post_init__(self):
+        measured = len(enumerate_triangles(self.contracted.graph))
+        if measured > self.budget:
+            raise TriangleBudgetExceeded(measured, self.budget)
 
     @property
     def epsilon(self) -> float:
@@ -128,10 +131,6 @@ class PreparedPipeline:
         return triangle_budget(
             self.contracted.graph.n, self.contracted_max_degree, self.epsilon
         )
-
-    @property
-    def matching_below_quarter(self) -> bool:
-        return len(self.matching) < math.ceil(self.graph.n / 4)
 
     @property
     def triangles(self) -> tuple[Triangle, ...]:
@@ -153,24 +152,20 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         # short of Vizing's ceil(m/(Δ+1)); a largest class of a (Δ+1)-edge
         # coloring meets it
         matching = extract_matching(graph, misra_gries_edge_color(graph))
-    prep = PreparedPipeline(
+    return PreparedPipeline(
         graph=graph,
         config=config,
         matching=matching,
         contracted=contract_matching(graph, matching),
     )
-    triangles = enumerate_triangles(prep.contracted.graph)
-    if len(triangles) > prep.budget:
-        raise TriangleBudgetExceeded(len(triangles), prep.budget)
-    return prep
 
 
 def greedy_induced_matching(graph: Graph) -> Matching:
     """Host baseline, not a pipeline stage: repeatedly take the lowest
     remaining edge and delete both endpoints' closed neighborhoods. The
     benchmark reports its size as ``pipeline.greedy_im_size``; it is what a
-    greedy extension to a maximal induced matching of the host (ROADMAP
-    item 3) gives from the empty matching.
+    greedy extension to a maximal induced matching of the host (ROADMAP's
+    "extend the paper's matching" item) gives from the empty matching.
 
     One forward pass suffices: a vertex with no remaining higher neighbor
     never regains one, so the scan never has to restart.
@@ -216,7 +211,6 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         budget=prep.budget,
         attempts=found.attempts,
         ratio=ratio,
-        matching_below_quarter=prep.matching_below_quarter,
         bypassed=found.bypassed,
     )
     return InducedMatchingResult(

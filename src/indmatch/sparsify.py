@@ -1,8 +1,8 @@
 """Independent sets in graphs with few triangles, via randomized sparsification.
 
 The driver keeps each vertex with probability ``p = d**(epsilon/3 - 1)``,
-where ``epsilon`` is the triangle-budget exponent and ``d`` is read from
-the input graph as its max degree, as are ``n`` and ``d`` in the thresholds.
+where ``epsilon`` lies in (0, 3) and ``d`` is read from the input graph as
+its max degree, as are ``n`` and ``d`` in the thresholds.
 It marks one vertex of every surviving triangle removed, and checks three
 concentration thresholds; when they pass, a min-degree greedy pass over the
 sample minus that mask yields the independent set, which is mapped back to
@@ -80,8 +80,11 @@ def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> flo
     return n_contracted * float(d_contracted) ** (2 - epsilon)
 
 
-def check_run_limits(degree_cutoff: int, max_retries: int) -> None:
-    """Reject a negative degree cutoff and fewer than one sampling attempt."""
+def check_run_limits(epsilon: float, degree_cutoff: int, max_retries: int) -> None:
+    """Reject an ``epsilon`` outside (0, 3), a negative degree cutoff and
+    fewer than one sampling attempt, in that order."""
+    if not 0 < epsilon < 3:
+        raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
     if degree_cutoff < 0:
         raise ValueError(f"degree cutoff must be >= 0, got {degree_cutoff}")
     if max_retries < 1:
@@ -187,6 +190,39 @@ class IndependentSetResult:
     bypassed: bool  # low-degree path: no sampling
 
 
+def _attempt(
+    g: Graph, d: int, p: float, index: int, seed: int
+) -> tuple[AttemptStats, Graph, tuple[int, ...], VertexSet]:
+    """Sampling attempt ``index`` on the sub-seed ``mix64(seed, index)``:
+    its stats, plus the sample, its map back to ``g`` and the breaking mask
+    that the greedy pass takes when the attempt passes."""
+    sampled = sample_vertices(g, p, random.Random(mix64(seed, index)))
+    subgraph, kept = induced_subgraph(g, sampled)
+    triangles = len(enumerate_triangles(subgraph))
+    removed = break_triangles(subgraph)
+    rows = subgraph.adjacency
+    edges = subgraph.m - sum(
+        1 for v in removed for w in rows[v] if w not in removed or w > v
+    )
+    np_ = g.n * p
+    if not np_ / 2 <= len(sampled) <= 3 * np_ / 2:
+        outcome = "vertex-count"
+    elif triangles > np_ / 4:
+        outcome = "triangles"
+    elif edges > 5 * g.n * d * p * p:
+        outcome = "edges"
+    else:
+        outcome = "pass"
+    stats = AttemptStats(
+        index=index,
+        sampled=len(sampled),
+        triangles=triangles,
+        edges=edges,
+        outcome=outcome,
+    )
+    return stats, subgraph, kept, removed
+
+
 def sparsify_independent_set(
     g: Graph,
     epsilon: float,
@@ -194,28 +230,23 @@ def sparsify_independent_set(
     degree_cutoff: int = DEFAULT_DEGREE_CUTOFF,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> IndependentSetResult:
-    """Find an independent set of ``g`` under a triangle budget.
+    """Find an independent set of ``g``.
 
-    ``epsilon`` lies in the open interval (0, 3), so that ``p <= 1``. With
-    ``d`` the max degree of ``g``, the triangle count must be at most
-    ``n * d**(2 - epsilon)``, else :class:`TriangleBudgetExceeded`.
+    ``epsilon`` lies in the open interval (0, 3), so that ``p <= 1``. The
+    caller checks the triangle budget (``PreparedPipeline`` does).
 
-    When ``d`` is at most ``degree_cutoff`` the sampling stage is skipped:
-    triangles are broken directly and the greedy pass runs on all of ``g``.
-    Otherwise each vertex is kept with probability ``p = d**(epsilon/3 - 1)``
-    in up to ``max_retries`` attempts, each on the sub-seed
-    ``mix64(seed, index)``, and the first attempt to pass all three
-    thresholds produces the result; attempts are independent, so they could
-    run concurrently with the same first-pass selection rule. Raises
-    :class:`RetriesExhausted` (with the audit trail) if none passes.
+    When ``d``, the max degree of ``g``, is at most ``degree_cutoff`` the
+    sampling stage is skipped: triangles are broken directly and the greedy
+    pass runs on all of ``g``. Otherwise each vertex is kept with
+    probability ``p = d**(epsilon/3 - 1)`` in up to ``max_retries``
+    attempts, each on the sub-seed ``mix64(seed, index)``, and the first
+    attempt to pass all three thresholds produces the result; attempts are
+    independent, so they could run concurrently with the same first-pass
+    selection rule. Raises :class:`RetriesExhausted` (with the audit trail)
+    if none passes.
     """
-    check_run_limits(degree_cutoff, max_retries)
+    check_run_limits(epsilon, degree_cutoff, max_retries)
     _, d, _ = g.degree_profile
-    budget = triangle_budget(g.n, d, epsilon)
-    triangles = enumerate_triangles(g)
-    if len(triangles) > budget:
-        raise TriangleBudgetExceeded(len(triangles), budget)
-
     if d <= degree_cutoff:
         return IndependentSetResult(
             vertices=triangle_free_independent_set(g, break_triangles(g)),
@@ -225,43 +256,16 @@ def sparsify_independent_set(
         )
 
     p = float(d) ** (epsilon / 3 - 1)
-    np_ = g.n * p
     trail: list[AttemptStats] = []
     for index in range(max_retries):
-        rng = random.Random(mix64(seed, index))
-        sampled = sample_vertices(g, p, rng)
-        subgraph, kept = induced_subgraph(g, sampled)
-        sub_triangles = enumerate_triangles(subgraph)
-        removed = break_triangles(subgraph)
-        rows = subgraph.adjacency
-        edges = subgraph.m - sum(
-            1 for v in removed for w in rows[v] if w not in removed or w > v
-        )
-
-        if not np_ / 2 <= len(sampled) <= 3 * np_ / 2:
-            outcome = "vertex-count"
-        elif len(sub_triangles) > np_ / 4:
-            outcome = "triangles"
-        elif edges > 5 * g.n * d * p * p:
-            outcome = "edges"
-        else:
-            outcome = "pass"
-        stats = AttemptStats(
-            index=index,
-            sampled=len(sampled),
-            triangles=len(sub_triangles),
-            edges=edges,
-            outcome=outcome,
-        )
+        stats, subgraph, kept, removed = _attempt(g, d, p, index, seed)
         trail.append(stats)
-        if outcome != "pass":
-            continue
-
-        chosen = triangle_free_independent_set(subgraph, removed)
-        return IndependentSetResult(
-            vertices=frozenset([kept[v] for v in chosen]),
-            attempts=index + 1,
-            attempt_stats=tuple(trail),
-            bypassed=False,
-        )
+        if stats.outcome == "pass":
+            chosen = triangle_free_independent_set(subgraph, removed)
+            return IndependentSetResult(
+                vertices=frozenset([kept[v] for v in chosen]),
+                attempts=index + 1,
+                attempt_stats=tuple(trail),
+                bypassed=False,
+            )
     raise RetriesExhausted(tuple(trail))

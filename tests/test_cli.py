@@ -175,6 +175,43 @@ def test_experiment_floor_verdict():
     assert "verdict=FAIL" in out
 
 
+def test_experiment_counts_only_valid_certificates(monkeypatch):
+    # an invalid certificate is neither counted as ok nor measured
+    monkeypatch.setattr("indmatch.pipeline.is_induced_matching", lambda g, m: False)
+    code, out, _ = run_cli(
+        "experiment",
+        "--family", "projective", "--q", "3", "--trials", "2",
+        "--floor", "0.0001",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    rows = [l for l in lines if l and not l.startswith("#") and l != CSV_HEADER]
+    assert len(rows) == 2 and all(r.endswith(",invalid") for r in rows)
+    assert "# summary family=projective q=3 trials=2 ok=0 min_ratio= median_ratio=" in lines
+    assert lines[-1] == "# floor=0.000100 verdict=FAIL"
+
+
+def test_triangle_budget_exit_path(tmp_path):
+    # K8 contracts to K4, whose 4 triangles exceed 4 * 3**(2 - 2.9)
+    graph_file = tmp_path / "k8.txt"
+    write_edge_list(named_fixture("complete-8"), graph_file)
+    cert_file = tmp_path / "cert.txt"
+    code, out, err = run_cli(
+        "run", str(graph_file), "--epsilon", "2.9", "--out", str(cert_file)
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: triangle count 4 exceeds budget 1.488 (n * d**(2 - epsilon))\n"
+    assert not cert_file.exists()
+    code, out, _ = run_cli(
+        "experiment",
+        "--family", "projective", "--q", "7", "--trials", "2", "--epsilon", "2.0",
+    )
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
+    assert len(rows) == 2 and all(r.endswith(",triangle-budget") for r in rows)
+    assert " ok=0 " in out
+
+
 def test_experiment_random_regular():
     code, out, _ = run_cli(
         "experiment",

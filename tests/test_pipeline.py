@@ -25,7 +25,7 @@ from indmatch import (
     run_prepared,
     triangle_budget,
 )
-from indmatch import pipeline
+from indmatch import pipeline, sparsify
 from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.seeds import mix64
@@ -59,7 +59,7 @@ def test_projective_run_records_ratio():
     assert result.stats.ratio is not None
     assert result.stats.ratio >= PIPELINE_RATIO_FLOOR
     assert result.stats.contracted_n >= math.ceil(g.n / 4)
-    assert not result.stats.matching_below_quarter
+    assert result.stats.match_size >= math.ceil(g.n / 4)
 
 
 def test_triangle_budget_examples():
@@ -74,6 +74,16 @@ def test_budget_violation_signals_density():
     k12 = named_fixture("complete-12")
     with pytest.raises(TriangleBudgetExceeded):
         induced_matching(k12, PipelineConfig(epsilon=2.5))
+
+
+def test_prepare_triangle_budget_error():
+    # K8's perfect matching contracts to K4: 4 triangles against
+    # 4 * 3**(2 - 2.9)
+    k8 = named_fixture("complete-8")
+    with pytest.raises(TriangleBudgetExceeded) as err:
+        prepare_pipeline(k8, PipelineConfig(epsilon=2.9))
+    assert err.value.measured == 4
+    assert err.value.budget == pytest.approx(1.488, abs=1e-3)
 
 
 def test_empty_matching_error():
@@ -101,6 +111,10 @@ def test_budget_follows_a_replaced_config():
     assert expected == 784.0
     assert changed.budget == expected
     assert run_prepared(changed, 0).stats.budget == expected
+    # the replaced config's budget is enforced when the copy is built
+    with pytest.raises(TriangleBudgetExceeded) as err:
+        dataclasses.replace(prep, config=PipelineConfig(epsilon=2.0))
+    assert (err.value.measured, err.value.budget) == (96, 56.0)
 
 
 def test_determinism_byte_for_byte():
@@ -181,7 +195,7 @@ def test_irregular_input_flagged_but_sound():
     result = induced_matching(star)
     assert result.certificate is True
     assert result.size == 1
-    assert result.stats.matching_below_quarter
+    assert result.stats.match_size < math.ceil(star.n / 4)
 
 
 def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
@@ -248,6 +262,40 @@ def test_greedy_matching_suffices_on_benchmark_graphs(monkeypatch):
         prep = prepare_pipeline(g, PipelineConfig())
         assert prep.matching == pipeline.greedy_matching(g)
     assert calls == []
+
+
+def test_tracer_patch_points_see_every_call(monkeypatch):
+    # The benchmark's tracer times stages by replacing these module
+    # globals, so each must be looked up when it is called.
+    calls = {}  # "module.name" -> vertex count of each call's graph
+    for module, name in [
+        (sparsify, "sample_vertices"),
+        (sparsify, "induced_subgraph"),
+        (sparsify, "enumerate_triangles"),
+        (sparsify, "break_triangles"),
+        (pipeline, "enumerate_triangles"),
+    ]:
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+
+        def counting(g, *args, _fn=getattr(module, name), _key=key):
+            calls.setdefault(_key, []).append(g.n)
+            return _fn(g, *args)
+
+        monkeypatch.setattr(module, name, counting)
+    prep = prepare_pipeline(projective_incidence_graph(7), PipelineConfig(degree_cutoff=0))
+    quotient_n = prep.contracted.graph.n
+    assert calls == {"pipeline.enumerate_triangles": [quotient_n]}
+    calls.clear()
+    result = run_prepared(prep, 0)
+    assert not result.stats.bypassed
+    assert sorted(calls) == [
+        "sparsify.break_triangles",
+        "sparsify.enumerate_triangles",
+        "sparsify.induced_subgraph",
+        "sparsify.sample_vertices",
+    ]
+    # only the attempts' samples are listed, never the quotient
+    assert max(calls["sparsify.enumerate_triangles"]) < quotient_n
 
 
 def test_bypass_run_enumerates_no_triangles(monkeypatch):
