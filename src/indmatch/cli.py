@@ -2,7 +2,7 @@
 experiments, query the brute-force oracles, and verify certificates.
 
 Exit codes: 0 success / valid certificate, 1 invalid certificate, 2 usage
-error, 3 algorithmic failure (retry or budget exhaustion). All randomness
+error or out of memory, 3 algorithmic failure (``FAILURES``). All randomness
 flows from ``--seed`` through the documented mixer, so identical
 invocations produce byte-identical stdout and files; wall-clock timings go
 to stderr only.
@@ -33,6 +33,15 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_ALGORITHM = 3
+
+# Each algorithmic failure and its ``experiment`` status; ``main`` exits
+# EXIT_ALGORITHM on any of them.
+FAILURES = {
+    RetriesExhausted: "retries",
+    TriangleBudgetExceeded: "triangle-budget",
+    EmptyMatchingError: "empty-matching",
+    generators.GenerationError: "generation",
+}
 
 # Frozen stats schema. ratio_ln uses the natural logarithm:
 # size / ((n/d) * ln d), blank when max degree < 2. q holds the family
@@ -72,13 +81,13 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         epsilon=args.epsilon,
         degree_cutoff=args.d0,
         max_retries=args.max_retries,
-        seed=args.seed,
     )
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    # defaults come from PipelineConfig, so the CLI and the library agree
-    parser.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    # defaults come from PipelineConfig and induced_matching, so the CLI and
+    # the library agree
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--B", type=int, default=PipelineConfig.B, help="forbidden K_{B,B} parameter")
     parser.add_argument(
         "--epsilon",
@@ -116,7 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     start = time.monotonic()
     prep = prepare_pipeline(graph, config)
-    result = run_prepared(prep, config.seed)
+    result = run_prepared(prep, args.seed)
     elapsed = time.monotonic() - start
     edge_lines = "".join(f"{u} {v}\n" for u, v in result.matching)
     # write the certificate before printing, so a failed write prints nothing
@@ -125,7 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _, dmax, _ = graph.degree_profile
     status = "ok" if result.certificate else "invalid"
     print(edge_lines + CSV_HEADER)
-    print(_stats_row("file", "", graph.n, dmax, config.seed, result, status))
+    print(_stats_row("file", "", graph.n, dmax, args.seed, result, status))
     print(f"# wall_seconds={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK if result.certificate else EXIT_INVALID
 
@@ -161,72 +170,43 @@ def _sweep(
         try:
             graph_seed = mix64(args.seed, args.family, param, "graph")
             spec = generators.GeneratorSpec(args.family, q=param, n=param, d=args.d, seed=graph_seed)
-            graph = generators.build_graph(spec)
-            prep = prepare_pipeline(graph, config)
-            prep_error = None
-        except (TriangleBudgetExceeded, ValueError, generators.GenerationError) as exc:
-            graph = None
+            prep = prepare_pipeline(generators.build_graph(spec), config)
+        except (ValueError, generators.GenerationError) as exc:
             prep = None
-            prep_error = _status_of(exc)
+            status = FAILURES.get(type(exc), "error")
         for trial in range(args.trials):
             seed = mix64(args.seed, args.family, param, trial)
-            if prep is None:
-                rows.append(
-                    _stats_row(args.family, str(param), 0, 0, seed, None, prep_error)
+            result = None
+            n = dmax = 0  # the rows of a failed preparation carry n = d = 0
+            if prep is not None:
+                n, dmax = prep.graph.n, prep.graph.degree_profile[1]
+                start = time.monotonic()
+                try:
+                    result = run_prepared(prep, seed)
+                    status = "ok" if result.certificate else "invalid"
+                except RetriesExhausted as exc:
+                    status = FAILURES[type(exc)]
+                print(
+                    f"# timing param={param} trial={trial} "
+                    f"seconds={time.monotonic() - start:.3f}",
+                    file=sys.stderr,
                 )
-                continue
-            start = time.monotonic()
-            try:
-                result = run_prepared(prep, seed)
-            except RetriesExhausted:
-                result = None
-            print(
-                f"# timing param={param} trial={trial} "
-                f"seconds={time.monotonic() - start:.3f}",
-                file=sys.stderr,
-            )
-            dmax = graph.degree_profile[1]
-            if result is None:
-                rows.append(
-                    _stats_row(args.family, str(param), graph.n, dmax, seed, None, "retries")
-                )
-                continue
-            status = "ok" if result.certificate else "invalid"
-            if result.certificate:
+            if status == "ok":
                 ok += 1
                 if result.stats.ratio is not None:
                     ratios.append(result.stats.ratio)
-            rows.append(
-                _stats_row(args.family, str(param), graph.n, dmax, seed, result, status)
-            )
-        if ratios:
-            sweep_ratios.extend(ratios)
-            summary = (
-                f"# summary family={args.family} q={param} trials={args.trials} "
-                f"ok={ok} min_ratio={min(ratios):.6f} "
-                f"median_ratio={statistics.median(ratios):.6f}"
-            )
-        else:
-            summary = (
-                f"# summary family={args.family} q={param} trials={args.trials} "
-                f"ok={ok} min_ratio= median_ratio="
-            )
-        summaries.append(summary)
+            rows.append(_stats_row(args.family, str(param), n, dmax, seed, result, status))
+        sweep_ratios.extend(ratios)
+        low, mid = (f"{min(ratios):.6f}", f"{statistics.median(ratios):.6f}") if ratios else ("", "")
+        summaries.append(
+            f"# summary family={args.family} q={param} trials={args.trials} "
+            f"ok={ok} min_ratio={low} median_ratio={mid}"
+        )
 
     if args.floor is not None:
         passed = bool(sweep_ratios) and min(sweep_ratios) >= args.floor
         summaries.append(f"# floor={args.floor:.6f} verdict={'PASS' if passed else 'FAIL'}")
     return rows, summaries
-
-
-def _status_of(exc: Exception) -> str:
-    if isinstance(exc, EmptyMatchingError):
-        return "empty-matching"
-    if isinstance(exc, TriangleBudgetExceeded):
-        return "triangle-budget"
-    if isinstance(exc, generators.GenerationError):
-        return "generation"
-    return "error"
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -339,18 +319,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RetriesExhausted as exc:
+    except tuple(FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("attempt,sampled,triangles,edges,outcome", file=sys.stderr)
-        for a in exc.attempts:
-            print(
-                f"{a.index},{a.sampled},{a.triangles},{a.edges},{a.outcome}",
-                file=sys.stderr,
-            )
+        if isinstance(exc, RetriesExhausted):
+            print("attempt,sampled,triangles,edges,outcome", file=sys.stderr)
+            for a in exc.attempts:
+                print(
+                    f"{a.index},{a.sampled},{a.triangles},{a.edges},{a.outcome}",
+                    file=sys.stderr,
+                )
         return EXIT_ALGORITHM
-    except (TriangleBudgetExceeded, EmptyMatchingError, generators.GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
+    except MemoryError:
+        # str(MemoryError()) is empty, so the line names the failure
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

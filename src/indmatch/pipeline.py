@@ -3,14 +3,16 @@
 The run decomposes into a deterministic stage (a matching with at least
 m/(Δ+1) edges: greedy, with Misra-Gries as fallback; contraction; triangle
 budget check) and a seeded stage (sparsified independent set on the
-contraction, pull-back, certification). The split is exposed so sweeps over
-seeds can reuse the deterministic part.
+contraction, pull-back, certification). A run is deterministic in
+``(graph, config, seed)``; the seed is read by the seeded stage only. The
+split is exposed so sweeps over seeds can reuse the deterministic part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import (
     Graph,
@@ -65,7 +67,6 @@ class PipelineConfig:
     epsilon: float | None = None
     degree_cutoff: int = DEFAULT_DEGREE_CUTOFF
     max_retries: int = DEFAULT_MAX_RETRIES
-    seed: int = 0
 
     def __post_init__(self):
         if self.B < 2:
@@ -118,18 +119,17 @@ class PreparedPipeline:
             raise TriangleBudgetExceeded(measured, self.budget)
 
     @property
-    def epsilon(self) -> float:
-        return self.config.effective_epsilon()
-
-    @property
     def contracted_max_degree(self) -> int:
         return self.contracted.graph.degree_profile[1]
 
-    @property
+    @cached_property
     def budget(self) -> float:
-        """The quotient's triangle budget at this config's epsilon."""
+        """The quotient's triangle budget at this config's epsilon, computed
+        once per instance (``dataclasses.replace`` builds a new one)."""
         return triangle_budget(
-            self.contracted.graph.n, self.contracted_max_degree, self.epsilon
+            self.contracted.graph.n,
+            self.contracted_max_degree,
+            self.config.effective_epsilon(),
         )
 
     @property
@@ -192,7 +192,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     config = prep.config
     found = sparsify_independent_set(
         prep.contracted.graph,
-        prep.epsilon,
+        config.effective_epsilon(),
         seed,
         degree_cutoff=config.degree_cutoff,
         max_retries=config.max_retries,
@@ -221,10 +221,10 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     )
 
 
-def induced_matching(graph: Graph, config: PipelineConfig | None = None) -> InducedMatchingResult:
+def induced_matching(
+    graph: Graph, config: PipelineConfig | None = None, seed: int = 0
+) -> InducedMatchingResult:
     """Full pipeline: a matching with at least m/(Δ+1) edges (greedy, with
     Misra-Gries as fallback), contract, sparsify, pull back, certify.
-    Deterministic in ``(graph, config, config.seed)``."""
-    config = config or PipelineConfig()
-    prep = prepare_pipeline(graph, config)
-    return run_prepared(prep, config.seed)
+    Deterministic in ``(graph, config, seed)``."""
+    return run_prepared(prepare_pipeline(graph, config or PipelineConfig()), seed)

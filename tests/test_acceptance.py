@@ -94,7 +94,7 @@ def test_criterion_1_soundness(corpus):
     errors = 0
     for name, g in corpus:
         try:
-            result = induced_matching(g, PipelineConfig(seed=11))
+            result = induced_matching(g, seed=11)
         except (EmptyMatchingError, TriangleBudgetExceeded, RetriesExhausted):
             errors += 1
             continue
@@ -130,7 +130,7 @@ def test_criterion_2_oracle_equivalence():
         best, witness = max_induced_matching_bf(g)
         assert is_induced_matching(g, witness) == is_induced_matching_bf(g, witness)
         assert is_induced_matching(g, witness)
-        result = induced_matching(g, PipelineConfig(seed=13))
+        result = induced_matching(g, seed=13)
         assert result.size <= best, f"rr({n},{d}): pipeline beat the oracle"
         assert result.certificate is True
         count += 1

@@ -1,10 +1,20 @@
 import io
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from indmatch import PipelineConfig, named_fixture, projective_incidence_graph, write_edge_list
-from indmatch.cli import CSV_HEADER, _pipeline_config, build_parser, main
+from indmatch import (
+    PipelineConfig,
+    generators,
+    named_fixture,
+    projective_incidence_graph,
+    write_edge_list,
+)
+from indmatch.cli import CSV_HEADER, FAILURES, _pipeline_config, build_parser, main
+
+from conftest import subprocess_env
 
 
 def run_cli(*argv):
@@ -202,14 +212,6 @@ def test_triangle_budget_exit_path(tmp_path):
     assert (code, out) == (3, "")
     assert err == "error: triangle count 4 exceeds budget 1.488 (n * d**(2 - epsilon))\n"
     assert not cert_file.exists()
-    code, out, _ = run_cli(
-        "experiment",
-        "--family", "projective", "--q", "7", "--trials", "2", "--epsilon", "2.0",
-    )
-    assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
-    assert len(rows) == 2 and all(r.endswith(",triangle-budget") for r in rows)
-    assert " ok=0 " in out
 
 
 def test_experiment_random_regular():
@@ -271,19 +273,84 @@ def test_greedy_fallback_flag_is_gone():
     assert caught.value.code == 2
 
 
-def test_experiment_reports_exhausted_retries_as_rows():
-    code, out, err = run_cli(
-        "experiment",
-        "--family", "projective", "--q", "3", "--trials", "4",
-        "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "0",
-    )
+# Each algorithmic failure: an experiment, the statuses of its rows, and a
+# command that exits 3 on the failure. {name} is the file of FAILURE_GRAPHS.
+FAILURE_CASES = {
+    "retries": (
+        ["experiment", "--family", "projective", "--q", "3", "--trials", "4",
+         "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "0"],
+        ["retries"] * 3 + ["ok"],
+        ["run", "{cycle-25}", "--epsilon", "0.1", "--d0", "0", "--max-retries", "1",
+         "--seed", "3", "--out", "{out}"],
+    ),
+    "triangle-budget": (
+        ["experiment", "--family", "projective", "--q", "7", "--trials", "2",
+         "--epsilon", "2.0"],
+        ["triangle-budget"] * 2,
+        ["run", "{complete-8}", "--epsilon", "2.9", "--out", "{out}"],
+    ),
+    "empty-matching": (
+        ["experiment", "--family", "random-regular", "--q", "4", "--d", "0", "--trials", "2"],
+        ["empty-matching"] * 2,
+        ["run", "{edgeless-4}", "--out", "{out}"],
+    ),
+    # with the pairing model's restart budget at 0
+    "generation": (
+        ["experiment", "--family", "random-regular", "--q", "8", "--d", "3", "--trials", "2"],
+        ["generation"] * 2,
+        ["generate", "--family", "random-regular", "--n", "8", "--d", "3", "--out", "{out}"],
+    ),
+}
+FAILURE_GRAPHS = ("cycle-25", "complete-8", "edgeless-4")
+
+
+@pytest.mark.parametrize("status", sorted(FAILURES.values()))
+def test_each_failure_is_a_status_and_exit_3(status, tmp_path, monkeypatch):
+    assert sorted(FAILURE_CASES) == sorted(FAILURES.values())
+    experiment, statuses, failing = FAILURE_CASES[status]
+    if status == "generation":
+        monkeypatch.setattr(generators, "PAIRING_RESTART_BUDGET", 0)
+    code, out, err = run_cli(*experiment)
     assert code == 0, err
-    rows = [l for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
-    assert [row.rsplit(",", 1)[1] for row in rows] == ["retries"] * 3 + ["ok"]
-    for row in rows[:3]:
-        # blank stats columns, from match_size through ratio_ln
-        assert row.split(",")[4:11] == [""] * 7, row
-    assert "ok=1 " in out.splitlines()[-1]
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
+    assert [row[-1] for row in rows] == statuses
+    for row in rows:
+        if row[-1] != "ok":
+            # blank stats columns, from match_size through ratio_ln
+            assert row[4:11] == [""] * 7, row
+    assert f" ok={statuses.count('ok')} " in out
+
+    paths = {"out": tmp_path / "out.txt"}
+    for name in FAILURE_GRAPHS:
+        paths[name] = tmp_path / f"{name}.txt"
+        write_edge_list(named_fixture(name), paths[name])
+    code, out, err = run_cli(*(arg.format(**paths) for arg in failing))
+    assert (code, out) == (3, "")
+    # one error line first; a failed run leaves no certificate
+    assert [l for l in err.splitlines() if l.startswith("error:")] == err.splitlines()[:1]
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path):
+    # The 13-byte header asks the reader for 10**9 rows. Never run it
+    # without the address-space limit.
+    resource = pytest.importorskip("resource")
+    limit = 256 * 2**20
+    graph = tmp_path / "huge.txt"
+    graph.write_text("1000000000 0\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text("0 1\n")
+    for argv in (["run", str(graph)], ["verify", str(graph), str(cert)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "indmatch", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_run_retries_exhausted_emits_attempt_stats(tmp_path):

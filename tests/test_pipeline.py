@@ -44,7 +44,7 @@ def test_single_edge():
 
 
 def test_heawood_matches_oracle(heawood):
-    result = induced_matching(heawood, PipelineConfig(seed=4))
+    result = induced_matching(heawood, seed=4)
     assert result.certificate is True
     assert result.size >= 2
     best, witness = max_induced_matching_bf(heawood)
@@ -54,7 +54,7 @@ def test_heawood_matches_oracle(heawood):
 
 def test_projective_run_records_ratio():
     g = projective_incidence_graph(13)
-    result = induced_matching(g, PipelineConfig(seed=1))
+    result = induced_matching(g, seed=1)
     assert result.certificate is True
     assert result.stats.ratio is not None
     assert result.stats.ratio >= PIPELINE_RATIO_FLOOR
@@ -94,7 +94,7 @@ def test_empty_matching_error():
 
 
 def test_certificate_recheck_roundtrip(c6):
-    result = induced_matching(c6, PipelineConfig(seed=2))
+    result = induced_matching(c6, seed=2)
     assert is_induced_matching(c6, result.matching) is True
     assert is_induced_matching(c6, ((0, 1), (2, 3))) is False  # tampered
     assert is_induced_matching(c6, ()) is True
@@ -117,14 +117,27 @@ def test_budget_follows_a_replaced_config():
     assert (err.value.measured, err.value.budget) == (96, 56.0)
 
 
+def test_budget_is_computed_once_per_prepared_pipeline(monkeypatch):
+    calls = []
+
+    def counting(*args, _original=pipeline.triangle_budget):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(pipeline, "triangle_budget", counting)
+    prep = prepare_pipeline(projective_incidence_graph(7), PipelineConfig())
+    results = [run_prepared(prep, seed) for seed in range(5)]
+    assert len(calls) == 1
+    assert {r.stats.budget for r in results} == {prep.budget}
+
+
 def test_determinism_byte_for_byte():
     g = projective_incidence_graph(7)
-    cfg = PipelineConfig(seed=123)
-    a = induced_matching(g, cfg)
-    b = induced_matching(g, cfg)
+    a = induced_matching(g, seed=123)
+    b = induced_matching(g, PipelineConfig(), 123)
     assert a == b
     assert repr(a) == repr(b)
-    c = induced_matching(g, PipelineConfig(seed=124))
+    c = induced_matching(g, seed=124)
     assert c.certificate is True  # different seed still sound
 
 
@@ -141,11 +154,17 @@ def test_config_validation():
     assert PipelineConfig(B=2, epsilon=1.0).effective_epsilon() == 1.0
 
 
+def test_the_seed_is_not_a_config_field():
+    # a run's seed is an argument of the seeded stage only
+    with pytest.raises(TypeError):
+        PipelineConfig(seed=1)
+
+
 def test_retries_exhausted_carries_the_trail():
     g = named_fixture("cycle-25")
-    failing = PipelineConfig(epsilon=0.1, degree_cutoff=0, max_retries=1, seed=3)
+    failing = PipelineConfig(epsilon=0.1, degree_cutoff=0, max_retries=1)
     with pytest.raises(RetriesExhausted) as caught:
-        induced_matching(g, failing)
+        induced_matching(g, failing, seed=3)
     (attempt,) = caught.value.attempts
     assert isinstance(attempt, AttemptStats)
     assert attempt.outcome != "pass"
@@ -175,14 +194,14 @@ def test_greedy_induced_matching_is_maximal(g):
 
 def test_staged_api_equivalent_to_combined():
     g = projective_incidence_graph(5)
-    cfg = PipelineConfig(seed=77)
+    cfg = PipelineConfig()
     prep = prepare_pipeline(g, cfg)
-    assert run_prepared(prep, 77) == induced_matching(g, cfg)
+    assert run_prepared(prep, 77) == induced_matching(g, cfg, seed=77)
 
 
 def test_soundness_and_ratio_floor_on_regular_corpus():
     for name, g in regular_corpus(seeds_per_combo=1, n_step=8):
-        result = induced_matching(g, PipelineConfig(seed=5))
+        result = induced_matching(g, seed=5)
         assert result.certificate is True, name
         _, d, _ = g.degree_profile
         if d >= 2:
