@@ -20,7 +20,6 @@ from .graph import (
 )
 from .generators import (
     GenerationError,
-    GeneratorSpec,
     build_graph,
     named_fixture,
     polarity_graph,
@@ -72,7 +71,6 @@ __all__ = [
     "enumerate_triangles",
     "induced_subgraph",
     "is_induced_matching",
-    "GeneratorSpec",
     "GenerationError",
     "build_graph",
     "named_fixture",

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import generators, oracle
-from .graph import edge_line_columns, is_induced_matching, read_edge_list, write_edge_list
+from .graph import Graph, edge_line_columns, is_induced_matching, read_edge_list, write_edge_list
 from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
@@ -102,15 +102,9 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = generators.GeneratorSpec(
-        family=args.family,
-        q=args.q,
-        n=args.n,
-        d=args.d,
-        seed=args.seed,
-        fixture_name=args.name,
+    graph = generators.build_graph(
+        args.family, q=args.q, n=args.n, d=args.d, seed=args.seed, name=args.name
     )
-    graph = generators.build_graph(spec)
     write_edge_list(graph, args.out)
     lo, hi, regular = graph.degree_profile
     print(
@@ -160,7 +154,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def _sweep(
     args: argparse.Namespace, params: list[int], config: PipelineConfig
 ) -> tuple[list[str], list[str]]:
-    """CSV rows (header first) and summary lines of an experiment sweep."""
+    """CSV rows (header first) and summary lines of an experiment sweep.
+
+    Each failure in ``FAILURES`` becomes a row status; a parameter the
+    family rejects raises ``ValueError``, so the sweep writes no row.
+    """
     rows = [CSV_HEADER]
     summaries = []
     sweep_ratios: list[float] = []
@@ -169,11 +167,13 @@ def _sweep(
         ok = 0
         try:
             graph_seed = mix64(args.seed, args.family, param, "graph")
-            spec = generators.GeneratorSpec(args.family, q=param, n=param, d=args.d, seed=graph_seed)
-            prep = prepare_pipeline(generators.build_graph(spec), config)
-        except (ValueError, generators.GenerationError) as exc:
+            graph = generators.build_graph(
+                args.family, q=param, n=param, d=args.d, seed=graph_seed
+            )
+            prep = prepare_pipeline(graph, config)
+        except tuple(FAILURES) as exc:
             prep = None
-            status = FAILURES.get(type(exc), "error")
+            status = FAILURES[type(exc)]
         for trial in range(args.trials):
             seed = mix64(args.seed, args.family, param, trial)
             result = None
@@ -209,26 +209,40 @@ def _sweep(
     return rows, summaries
 
 
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _max_independent_set(graph: Graph, args: argparse.Namespace) -> str:
+    size, witness = oracle.max_independent_set_bf(graph, limit=args.limit)
+    return f"size={size}\nwitness=" + " ".join(str(v) for v in sorted(witness))
+
+
+def _max_induced_matching(graph: Graph, args: argparse.Namespace) -> str:
+    size, witness = oracle.max_induced_matching_bf(graph, limit=args.limit)
+    return f"size={size}\nwitness=" + " ".join(f"{u}-{v}" for u, v in witness)
+
+
+# Each oracle op and the function that gives its stdout from the graph and
+# the parsed flags.
+ORACLE_OPS = {
+    "count-triangles": lambda graph, args: (
+        f"triangles={oracle.count_triangles_bf(graph, limit=args.limit)}"
+    ),
+    "max-independent-set": _max_independent_set,
+    "max-induced-matching": _max_induced_matching,
+    "contains-kbb": lambda graph, args: (
+        f"contains_k{args.B}{args.B}="
+        + _flag(oracle.contains_kbb_bf(graph, args.B, limit=args.limit))
+    ),
+    "c4-free": lambda graph, args: (
+        "c4_free=" + _flag(oracle.is_c4_free_bf(graph, limit=args.limit))
+    ),
+}
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.graph)
-    limit = args.limit
-    if args.op == "count-triangles":
-        print(f"triangles={oracle.count_triangles_bf(graph, limit=limit)}")
-    elif args.op == "max-independent-set":
-        size, witness = oracle.max_independent_set_bf(graph, limit=limit)
-        print(f"size={size}")
-        print("witness=" + " ".join(str(v) for v in sorted(witness)))
-    elif args.op == "max-induced-matching":
-        size, witness = oracle.max_induced_matching_bf(graph, limit=limit)
-        print(f"size={size}")
-        print("witness=" + " ".join(f"{u}-{v}" for u, v in witness))
-    elif args.op == "contains-kbb":
-        found = oracle.contains_kbb_bf(graph, args.B, limit=limit)
-        print(f"contains_k{args.B}{args.B}={'true' if found else 'false'}")
-    elif args.op == "c4-free":
-        print(f"c4_free={'true' if oracle.is_c4_free_bf(graph, limit=limit) else 'false'}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown op {args.op!r}")
+    print(ORACLE_OPS[args.op](read_edge_list(args.graph), args))
     return EXIT_OK
 
 
@@ -290,17 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=cmd_experiment)
 
     orc = sub.add_parser("oracle", help="brute-force spot checks (small graphs)")
-    orc.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "count-triangles",
-            "max-independent-set",
-            "max-induced-matching",
-            "contains-kbb",
-            "c4-free",
-        ],
-    )
+    orc.add_argument("--op", required=True, choices=ORACLE_OPS)
     orc.add_argument("graph")
     orc.add_argument("--B", type=int, default=2)
     orc.add_argument("--limit", type=int, default=None)

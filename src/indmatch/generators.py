@@ -12,21 +12,10 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .graph import Graph, from_edge_list
 
 PAIRING_RESTART_BUDGET = 1000
-
-FIXTURE_NAMES = (
-    "petersen",
-    "heawood",
-    "cycle-<k>",
-    "path-<k>",
-    "complete-<k>",
-    "complete-bipartite-<a>-<b>",
-    "edgeless-<k>",
-)
 
 
 class GenerationError(RuntimeError):
@@ -232,79 +221,74 @@ def _heawood() -> Graph:
     return from_edge_list(14, edges)
 
 
+# Each one-size fixture kind: the smallest k it takes, and the edges of
+# ``<kind>-<k>`` on vertices 0..k-1.
+SIZED_FIXTURES = {
+    "cycle": (3, lambda k: [(i, (i + 1) % k) for i in range(k)]),
+    "path": (1, lambda k: [(i, i + 1) for i in range(k - 1)]),
+    "complete": (1, lambda k: [(i, j) for i in range(k) for j in range(i + 1, k)]),
+    "edgeless": (0, lambda k: []),
+}
+
+
 def named_fixture(name: str) -> Graph:
     """Small canonical graphs with documented, frozen vertex labelings.
 
     Supported: ``petersen``, ``heawood``, ``cycle-k`` (k >= 3), ``path-k``
     (k >= 1 vertices), ``complete-k``, ``complete-bipartite-a-b`` (sides
-    ``0..a-1`` and ``a..a+b-1``) and ``edgeless-k``.
+    ``0..a-1`` and ``a..a+b-1``) and ``edgeless-k``. Sizes are decimal
+    numerals.
     """
     if name == "petersen":
         return _petersen()
     if name == "heawood":
         return _heawood()
-    parts = name.split("-")
-    try:
-        if parts[0] == "cycle" and len(parts) == 2:
-            k = int(parts[1])
-            if k < 3:
-                raise ValueError(f"cycle needs k >= 3, got {k}")
-            return from_edge_list(k, [(i, (i + 1) % k) for i in range(k)])
-        if parts[0] == "path" and len(parts) == 2:
-            k = int(parts[1])
-            if k < 1:
-                raise ValueError(f"path needs k >= 1, got {k}")
-            return from_edge_list(k, [(i, i + 1) for i in range(k - 1)])
-        if parts[0] == "complete" and len(parts) == 2 and parts[1] != "bipartite":
-            k = int(parts[1])
-            if k < 1:
-                raise ValueError(f"complete needs k >= 1, got {k}")
-            return from_edge_list(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-        if parts[:2] == ["complete", "bipartite"] and len(parts) == 4:
-            a, b = int(parts[2]), int(parts[3])
+    kind, _, size = name.partition("-")
+    if kind in SIZED_FIXTURES and size.isdecimal():
+        smallest, edges = SIZED_FIXTURES[kind]
+        k = int(size)
+        if k < smallest:
+            raise ValueError(f"{kind} needs k >= {smallest}, got {k}")
+        return from_edge_list(k, edges(k))
+    if name.startswith("complete-bipartite-"):
+        a, _, b = name.removeprefix("complete-bipartite-").partition("-")
+        if a.isdecimal() and b.isdecimal():
+            a, b = int(a), int(b)
             if a < 1 or b < 1:
                 raise ValueError("complete bipartite needs both sides >= 1")
             return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-        if parts[0] == "edgeless" and len(parts) == 2:
-            k = int(parts[1])
-            if k < 0:
-                raise ValueError(f"edgeless needs k >= 0, got {k}")
-            return from_edge_list(k, [])
-    except ValueError as exc:
-        if "invalid literal" not in str(exc):
-            raise
+    supported = [f"{kind}-<k>" for kind in SIZED_FIXTURES]
+    supported.insert(-1, "complete-bipartite-<a>-<b>")  # before edgeless-<k>
     raise ValueError(
-        f"unknown fixture {name!r}; supported: {', '.join(FIXTURE_NAMES)}"
+        f"unknown fixture {name!r}; supported: petersen, heawood, {', '.join(supported)}"
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of one generated graph (CLI-facing)."""
-
-    family: str  # projective | polarity | random-regular | fixture
-    q: int | None = None
-    n: int | None = None
-    d: int | None = None
-    seed: int = 0
-    fixture_name: str | None = None
-
-
-def build_graph(spec: GeneratorSpec) -> Graph:
-    if spec.family == "projective":
-        if spec.q is None:
+def build_graph(
+    family: str,
+    *,
+    q: int | None = None,
+    n: int | None = None,
+    d: int | None = None,
+    seed: int = 0,
+    name: str | None = None,
+) -> Graph:
+    """The graph of ``family`` (projective, polarity, random-regular or
+    fixture) from the parameters that family reads."""
+    if family == "projective":
+        if q is None:
             raise ValueError("projective family requires q")
-        return projective_incidence_graph(spec.q)
-    if spec.family == "polarity":
-        if spec.q is None:
+        return projective_incidence_graph(q)
+    if family == "polarity":
+        if q is None:
             raise ValueError("polarity family requires q")
-        return polarity_graph(spec.q)
-    if spec.family == "random-regular":
-        if spec.n is None or spec.d is None:
+        return polarity_graph(q)
+    if family == "random-regular":
+        if n is None or d is None:
             raise ValueError("random-regular family requires n and d")
-        return random_regular(spec.n, spec.d, spec.seed)
-    if spec.family == "fixture":
-        if spec.fixture_name is None:
+        return random_regular(n, d, seed)
+    if family == "fixture":
+        if name is None:
             raise ValueError("fixture family requires a name")
-        return named_fixture(spec.fixture_name)
-    raise ValueError(f"unknown family {spec.family!r}")
+        return named_fixture(name)
+    raise ValueError(f"unknown family {family!r}")

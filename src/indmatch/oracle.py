@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from operator import index
 from pathlib import Path
@@ -29,16 +28,10 @@ from .graph import (
 from .matching import ContractedGraph, EdgeColoring
 
 
-@dataclass(frozen=True)
-class OracleLimit:
-    """Instance-size caps for the exponential searches."""
-
-    subset_search: int = 16  # induced matching / independent set
-    triangle_count: int = 64
-    kbb_search: int = 20
-
-
-DEFAULT_LIMIT = OracleLimit()
+# Instance-size caps for the exponential searches; ``limit=`` overrides them.
+SUBSET_SEARCH_LIMIT = 16  # induced matching / independent set
+TRIANGLE_COUNT_LIMIT = 64
+KBB_SEARCH_LIMIT = 20
 
 
 class OracleLimitError(ValueError):
@@ -129,7 +122,7 @@ def _max_weight_subset(conflict: list[int], count: int) -> tuple[int, int]:
 
 def max_independent_set_bf(g: Graph, limit: int | None = None) -> tuple[int, VertexSet]:
     """Maximum independent set size with a witness, by exhaustive search."""
-    _check_size(g.n, limit, DEFAULT_LIMIT.subset_search, "independent-set search")
+    _check_size(g.n, limit, SUBSET_SEARCH_LIMIT, "independent-set search")
     masks = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
     size, mask = _max_weight_subset(masks, g.n)
     witness = frozenset(v for v in range(g.n) if mask >> v & 1)
@@ -142,7 +135,7 @@ def max_induced_matching_bf(g: Graph, limit: int | None = None) -> tuple[int, Ma
     Searches edge subsets with include/exclude branching; two edges conflict
     when they share a vertex or any graph edge joins their endpoints.
     """
-    _check_size(g.n, limit, DEFAULT_LIMIT.subset_search, "induced-matching search")
+    _check_size(g.n, limit, SUBSET_SEARCH_LIMIT, "induced-matching search")
     edges = sorted(g.edges())
     closed = []
     for u, v in edges:
@@ -160,7 +153,7 @@ def max_induced_matching_bf(g: Graph, limit: int | None = None) -> tuple[int, Ma
 
 def count_triangles_bf(g: Graph, limit: int | None = None) -> int:
     """Exact triangle count by scanning all vertex triples."""
-    _check_size(g.n, limit, DEFAULT_LIMIT.triangle_count, "triangle count")
+    _check_size(g.n, limit, TRIANGLE_COUNT_LIMIT, "triangle count")
     nbr = [set(row) for row in g.adjacency]
     total = 0
     for a, b, c in combinations(range(g.n), 3):
@@ -178,7 +171,7 @@ def contains_kbb_bf(g: Graph, b: int, limit: int | None = None) -> bool:
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    _check_size(g.n, limit, DEFAULT_LIMIT.kbb_search, "complete-bipartite search")
+    _check_size(g.n, limit, KBB_SEARCH_LIMIT, "complete-bipartite search")
     if g.n < 2 * b:
         return False
     nbr = [set(row) for row in g.adjacency]

@@ -425,6 +425,15 @@ MALFORMED = {
          "--out", "{nodir}"],
         2, "error:", "no-such-dir",
     ),
+    # a parameter the family rejects fails the sweep, as it fails generate
+    "experiment-non-prime-q": (
+        ["experiment", "--family", "projective", "--q", "4,3", "--trials", "1"],
+        2, "error:", "prime",
+    ),
+    "experiment-odd-degree-sum": (
+        ["experiment", "--family", "random-regular", "--q", "5", "--d", "3", "--trials", "1"],
+        2, "error:", "even",
+    ),
     "experiment-zero-trials": (
         ["experiment", "--family", "projective", "--q", "3", "--trials", "0"],
         2, "error:", "trials",
@@ -479,7 +488,8 @@ def test_malformed_input_is_reported_not_raised(case, c6_file, tmp_path):
             paths[name].write_bytes(data)
     code, out, err = run_cli(*(arg.format(**paths) for arg in argv))
     assert code == expected_code, err
-    # a rejected run prints no result and does no pipeline work
+    # a rejected run prints no result (no certificate, CSV row or summary)
+    # and does no pipeline work
     assert out == ""
     assert not any(line.startswith("# ") for line in err.splitlines()), err
     assert err.splitlines()[-1].startswith(prefix), err

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from indmatch import (
     GenerationError,
-    GeneratorSpec,
     build_graph,
     enumerate_triangles,
     named_fixture,
@@ -266,10 +265,29 @@ def test_fixture_examples(petersen):
 
 
 def test_fixture_unknown_name_lists_supported():
-    with pytest.raises(ValueError, match="petersen"):
+    supported = (
+        "petersen, heawood, cycle-<k>, path-<k>, complete-<k>, "
+        "complete-bipartite-<a>-<b>, edgeless-<k>"
+    )
+    message = f"unknown fixture 'dodecahedron'; supported: {supported}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         named_fixture("dodecahedron")
-    with pytest.raises(ValueError):
+    # sizes are decimal numerals: no underscore, sign or space
+    for name in (
+        "cycle-3_0", "cycle-+4", "cycle- 4", "edgeless--1", "complete",
+        "complete-bipartite", "complete-bipartite-2", "complete-bipartite-2-+3",
+    ):
+        with pytest.raises(ValueError, match="^unknown fixture "):
+            named_fixture(name)
+    with pytest.raises(ValueError, match="^cycle needs k >= 3, got 2$"):
         named_fixture("cycle-2")
+    for kind, (smallest, _) in generators.SIZED_FIXTURES.items():
+        assert named_fixture(f"{kind}-{smallest}").n == smallest
+        if smallest:
+            with pytest.raises(ValueError, match=f"^{kind} needs k >= {smallest}, got 0$"):
+                named_fixture(f"{kind}-0")
+    with pytest.raises(ValueError, match="^complete bipartite needs both sides >= 1$"):
+        named_fixture("complete-bipartite-0-3")
 
 
 def test_heawood_structure(heawood):
@@ -281,11 +299,15 @@ def test_heawood_structure(heawood):
 
 
 def test_build_graph_dispatch():
-    assert build_graph(GeneratorSpec(family="projective", q=2)).n == 14
-    assert build_graph(GeneratorSpec(family="polarity", q=2)).n == 7
-    assert build_graph(GeneratorSpec(family="random-regular", n=8, d=3, seed=1)).n == 8
-    assert build_graph(GeneratorSpec(family="fixture", fixture_name="petersen")).n == 10
-    with pytest.raises(ValueError):
-        build_graph(GeneratorSpec(family="projective"))
-    with pytest.raises(ValueError):
-        build_graph(GeneratorSpec(family="nope"))
+    assert build_graph("projective", q=2).n == 14
+    assert build_graph("polarity", q=2).n == 7
+    assert build_graph("random-regular", n=8, d=3, seed=1).n == 8
+    assert build_graph("fixture", name="petersen").n == 10
+    for family, needs in (
+        ("projective", "q"), ("polarity", "q"), ("random-regular", "n and d"),
+        ("fixture", "a name"),
+    ):
+        with pytest.raises(ValueError, match=f"^{family} family requires {needs}$"):
+            build_graph(family, d=3)
+    with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+        build_graph("nope")
