@@ -274,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a graph in edge-list format")
-    gen.add_argument(
-        "--family",
-        required=True,
-        choices=["projective", "polarity", "random-regular", "fixture"],
-    )
+    gen.add_argument("--family", required=True, choices=generators.FAMILIES)
     gen.add_argument("--q", type=int, default=None, help="prime field order")
     gen.add_argument("--n", type=int, default=None)
     gen.add_argument("--d", type=int, default=None)
@@ -294,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     exp = sub.add_parser("experiment", help="sweep a family and emit CSV stats")
-    exp.add_argument("--family", required=True, choices=["projective", "polarity", "random-regular"])
+    # a fixture has a name, not a size to sweep
+    swept = [family for family, (needs, _, _) in generators.FAMILIES.items() if "name" not in needs]
+    exp.add_argument("--family", required=True, choices=swept)
     exp.add_argument("--q", required=True, help="comma-separated parameter list (q, or n for random-regular)")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--d", type=int, default=3, help="degree for random-regular sweeps (default 3)")

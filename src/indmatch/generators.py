@@ -231,20 +231,26 @@ SIZED_FIXTURES = {
 }
 
 
+def _is_numeral(size: str) -> bool:
+    """True iff ``size`` is a nonempty run of the digits 0-9: ``isdecimal``
+    alone also accepts the digits of other scripts, such as Arabic-Indic."""
+    return size.isascii() and size.isdecimal()
+
+
 def named_fixture(name: str) -> Graph:
     """Small canonical graphs with documented, frozen vertex labelings.
 
     Supported: ``petersen``, ``heawood``, ``cycle-k`` (k >= 3), ``path-k``
     (k >= 1 vertices), ``complete-k``, ``complete-bipartite-a-b`` (sides
-    ``0..a-1`` and ``a..a+b-1``) and ``edgeless-k``. Sizes are decimal
-    numerals.
+    ``0..a-1`` and ``a..a+b-1``) and ``edgeless-k``. Sizes are numerals
+    of ASCII digits.
     """
     if name == "petersen":
         return _petersen()
     if name == "heawood":
         return _heawood()
     kind, _, size = name.partition("-")
-    if kind in SIZED_FIXTURES and size.isdecimal():
+    if kind in SIZED_FIXTURES and _is_numeral(size):
         smallest, edges = SIZED_FIXTURES[kind]
         k = int(size)
         if k < smallest:
@@ -252,7 +258,7 @@ def named_fixture(name: str) -> Graph:
         return from_edge_list(k, edges(k))
     if name.startswith("complete-bipartite-"):
         a, _, b = name.removeprefix("complete-bipartite-").partition("-")
-        if a.isdecimal() and b.isdecimal():
+        if _is_numeral(a) and _is_numeral(b):
             a, b = int(a), int(b)
             if a < 1 or b < 1:
                 raise ValueError("complete bipartite needs both sides >= 1")
@@ -264,6 +270,16 @@ def named_fixture(name: str) -> Graph:
     )
 
 
+# Each family: the keywords of build_graph that it requires, the words its
+# error message names them by, and its graph from them and the seed.
+FAMILIES = {
+    "projective": (("q",), "q", lambda q, seed: projective_incidence_graph(q)),
+    "polarity": (("q",), "q", lambda q, seed: polarity_graph(q)),
+    "random-regular": (("n", "d"), "n and d", random_regular),
+    "fixture": (("name",), "a name", lambda name, seed: named_fixture(name)),
+}
+
+
 def build_graph(
     family: str,
     *,
@@ -273,22 +289,13 @@ def build_graph(
     seed: int = 0,
     name: str | None = None,
 ) -> Graph:
-    """The graph of ``family`` (projective, polarity, random-regular or
-    fixture) from the parameters that family reads."""
-    if family == "projective":
-        if q is None:
-            raise ValueError("projective family requires q")
-        return projective_incidence_graph(q)
-    if family == "polarity":
-        if q is None:
-            raise ValueError("polarity family requires q")
-        return polarity_graph(q)
-    if family == "random-regular":
-        if n is None or d is None:
-            raise ValueError("random-regular family requires n and d")
-        return random_regular(n, d, seed)
-    if family == "fixture":
-        if name is None:
-            raise ValueError("fixture family requires a name")
-        return named_fixture(name)
-    raise ValueError(f"unknown family {family!r}")
+    """The graph of ``family`` (a key of ``FAMILIES``) from the parameters
+    that family reads."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    needs, words, build = FAMILIES[family]
+    given = {"q": q, "n": n, "d": d, "name": name}
+    args = [given[key] for key in needs]
+    if None in args:
+        raise ValueError(f"{family} family requires {words}")
+    return build(*args, seed)

@@ -152,13 +152,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected
     vertex outside ``[0, n)`` raises ``ValueError`` naming the smallest one.
     """
-    chosen = sorted(set(vertices))
+    members = frozenset(vertices)
+    chosen = sorted(members)
     if chosen and (chosen[0] < 0 or chosen[-1] >= g.n):
         bad = chosen[0] if chosen[0] < 0 else chosen[bisect_left(chosen, g.n)]
         raise ValueError(f"vertex {bad} out of range for n={g.n}")
     mapping = dict(zip(chosen, range(len(chosen))))
-    get, has, rows = mapping.__getitem__, mapping.__contains__, g.adjacency
-    adjacency = tuple([tuple(map(get, filter(has, rows[old]))) for old in chosen])
+    # each kept row is its set intersection with the sample, met in C
+    get, meet, rows = mapping.__getitem__, members.intersection, g.adjacency
+    adjacency = tuple([tuple(map(get, sorted(meet(rows[old])))) for old in chosen])
     return Graph(len(chosen), adjacency), tuple(chosen)
 
 

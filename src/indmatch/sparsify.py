@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import log, log1p
 
 from .graph import (
     Graph,
@@ -94,13 +95,30 @@ def check_run_limits(epsilon: float, degree_cutoff: int, max_retries: int) -> No
 def sample_vertices(g: Graph, p: float, rng: random.Random) -> VertexSet:
     """Keep each vertex independently with probability ``p``.
 
-    One 53-bit uniform draw per vertex, in vertex order, so the sample is a
-    deterministic function of the generator state.
+    Geometric skipping: with ``U = 1 - rng.random()``, the next
+    ``floor(log(U) / log1p(-p))`` vertices are skipped and the one after
+    them is kept, until the skips pass vertex ``n - 1``. That is one draw
+    per kept vertex plus one, none when ``p`` is 0 or 1, and the sample is a
+    deterministic function of the generator state wherever ``math.log``
+    and ``math.log1p`` round alike.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"probability must be in [0, 1], got {p}")
-    draw = rng.random
-    return frozenset([v for v in range(g.n) if draw() < p])
+    n = g.n
+    if p == 0:
+        return frozenset()
+    if p == 1:
+        return frozenset(range(n))
+    draw, log_q = rng.random, log1p(-p)
+    kept = []
+    v = 0  # next vertex not yet skipped or kept
+    while True:
+        skip = log(1.0 - draw()) / log_q  # may be inf for a tiny p
+        if skip >= n - v:
+            return frozenset(kept)
+        v += int(skip)
+        kept.append(v)
+        v += 1
 
 
 def break_triangles(g: Graph) -> VertexSet:

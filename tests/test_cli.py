@@ -267,6 +267,20 @@ def test_oracle_limit_flag(tmp_path):
     assert code == 0 and out.splitlines()[0] == "size=15"
 
 
+def test_both_parsers_read_the_family_table(tmp_path, monkeypatch):
+    # a family added to generators.FAMILIES reaches generate and experiment
+    star = lambda n, seed: named_fixture(f"complete-bipartite-1-{n - 1}")
+    monkeypatch.setitem(generators.FAMILIES, "star", (("n",), "n", star))
+    out = tmp_path / "star.txt"
+    code, stdout, _ = run_cli("generate", "--family", "star", "--n", "5", "--out", str(out))
+    assert (code, stdout) == (0, "n=5 m=4 min_degree=1 max_degree=4 regular=false\n")
+    code, stdout, _ = run_cli("experiment", "--family", "star", "--q", "5", "--trials", "1")
+    assert code == 0 and stdout.splitlines()[1].startswith("star,5,5,4,")
+    # a fixture is chosen by name, so experiment does not sweep it
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        build_parser().parse_args(["experiment", "--family", "fixture", "--q", "3", "--trials", "1"])
+
+
 def test_greedy_fallback_flag_is_gone():
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as caught:
         build_parser().parse_args(["run", "g.txt", "--greedy-fallback"])
@@ -278,10 +292,10 @@ def test_greedy_fallback_flag_is_gone():
 FAILURE_CASES = {
     "retries": (
         ["experiment", "--family", "projective", "--q", "3", "--trials", "4",
-         "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "0"],
+         "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "3"],
         ["retries"] * 3 + ["ok"],
         ["run", "{cycle-25}", "--epsilon", "0.1", "--d0", "0", "--max-retries", "1",
-         "--seed", "3", "--out", "{out}"],
+         "--seed", "15", "--out", "{out}"],
     ),
     "triangle-budget": (
         ["experiment", "--family", "projective", "--q", "7", "--trials", "2",
@@ -358,7 +372,7 @@ def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
     write_edge_list(named_fixture("cycle-25"), path)
     code, _, err = run_cli(
         "run", str(path),
-        "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "3",
+        "--epsilon", "0.1", "--d0", "0", "--max-retries", "1", "--seed", "15",
         "--out", str(tmp_path / "cert.txt"),
     )
     assert code == 3

@@ -272,10 +272,12 @@ def test_fixture_unknown_name_lists_supported():
     message = f"unknown fixture 'dodecahedron'; supported: {supported}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         named_fixture("dodecahedron")
-    # sizes are decimal numerals: no underscore, sign or space
+    # sizes are numerals of ASCII digits: no underscore, sign, space or
+    # digit of another script (Arabic-Indic three and two here)
     for name in (
         "cycle-3_0", "cycle-+4", "cycle- 4", "edgeless--1", "complete",
         "complete-bipartite", "complete-bipartite-2", "complete-bipartite-2-+3",
+        "cycle-\u0663", "complete-bipartite-\u0662-3",
     ):
         with pytest.raises(ValueError, match="^unknown fixture "):
             named_fixture(name)

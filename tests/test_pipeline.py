@@ -164,7 +164,7 @@ def test_retries_exhausted_carries_the_trail():
     g = named_fixture("cycle-25")
     failing = PipelineConfig(epsilon=0.1, degree_cutoff=0, max_retries=1)
     with pytest.raises(RetriesExhausted) as caught:
-        induced_matching(g, failing, seed=3)
+        induced_matching(g, failing, seed=15)
     (attempt,) = caught.value.attempts
     assert isinstance(attempt, AttemptStats)
     assert attempt.outcome != "pass"
@@ -351,7 +351,7 @@ def test_frozen_certificates():
     sampled = [(seed, run_prepared(prep, seed)) for seed in range(50)]
     assert not any(r.stats.bypassed for _, r in sampled)
     assert _certificates_digest(sampled) == (
-        "bd6fc0ca2cd116c819b88a1fe108e54b19d2a0654f3cd589a0a8aac9fa607bc6"
+        "e40ae874daa4538c56e17d6364c4b21cd4727ce8036a8f574e29e8b3d0d5b794"
     )
     prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
     bypass = run_prepared(prep, 0)

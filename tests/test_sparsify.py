@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ def test_attempt_trail_follows_the_paper_formulas():
     p = d ** (eps / 3 - 1)
     np_ = g.n * p
     outcomes = set()
-    for seed in range(30):
+    for seed in range(300):  # ~3% of attempts fail the vertex count
         try:
             trail = sparsify_independent_set(
                 g, eps, seed, degree_cutoff=0, max_retries=8
@@ -74,12 +76,19 @@ def test_params_validation(petersen):
     assert sparsify_independent_set(edgeless, 1.0, degree_cutoff=0, max_retries=1).bypassed
 
 
-def test_sample_vertices_extremes(petersen):
-    rng = random.Random(0)
-    assert sample_vertices(petersen, 1.0, rng) == frozenset(range(10))
-    assert sample_vertices(petersen, 0.0, rng) == frozenset()
-    with pytest.raises(ValueError):
-        sample_vertices(petersen, 1.5, rng)
+def test_sample_vertices_extremes():
+    # no skip overflows: at p = 5e-324, log(U) / log1p(-p) is inf
+    for p, kept in ((0.0, False), (5e-324, False), (1 - 2**-53, True), (1.0, True)):
+        for n in (0, 10):
+            rng = random.Random(0)
+            state = rng.getstate()
+            sample = sample_vertices(named_fixture(f"edgeless-{n}"), p, rng)
+            assert sample == frozenset(range(n) if kept else ()), (p, n)
+            if p in (0.0, 1.0):
+                assert rng.getstate() == state  # answered without a draw
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="probability"):
+            sample_vertices(named_fixture("edgeless-10"), p, random.Random(0))
 
 
 def test_sample_vertices_deterministic(petersen):
@@ -97,12 +106,43 @@ def test_sample_vertices_binomial_mean():
     assert abs(mean - g.n * p) <= 3 * sigma
 
 
-@pytest.mark.parametrize("p", [0.0, 0.0227, 0.5, 1.0])
-def test_sample_vertices_one_draw_per_vertex_in_order(p):
-    g = random_regular(984, 0, 0)  # edgeless, only the vertex count matters
-    rng, ref = random.Random(mix64(5, 0)), random.Random(mix64(5, 0))
-    assert sample_vertices(g, p, rng) == {v for v in range(g.n) if ref.random() < p}
-    assert rng.getstate() == ref.getstate()  # exactly n draws consumed
+@pytest.mark.parametrize("p", [0.0227, 0.5])
+def test_sample_vertices_skips_geometrically(p):
+    # recompute the skips from a twin generator: each draw U = 1 - random()
+    # skips floor(log(U) / log1p(-p)) vertices and keeps the next one
+    n, seed = 984, mix64(5, 0)
+    g = random_regular(n, 0, 0)  # edgeless, only the vertex count matters
+    ref = random.Random(seed)
+    expected, v = set(), -1
+    while True:
+        v += 1 + math.floor(math.log(1 - ref.random()) / math.log1p(-p))
+        if v >= n:
+            break
+        expected.add(v)
+    rng = random.Random(seed)
+    sample = sample_vertices(g, p, rng)
+    assert sample == expected
+    twin = random.Random(seed)
+    for _ in range(len(sample) + 1):
+        twin.random()
+    assert rng.getstate() == twin.getstate()  # |S| + 1 draws consumed
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_sample_vertices_subset_frequencies(p):
+    # each of the 32 subsets of 5 vertices is drawn with probability
+    # p^|S| (1-p)^(5-|S|); chi-square below the 0.999 quantile at 31 degrees
+    # of freedom, fixed before the run
+    g, trials = named_fixture("edgeless-5"), 20_000
+    counts = Counter(
+        sample_vertices(g, p, random.Random(mix64(11, i))) for i in range(trials)
+    )
+    chi2 = 0.0
+    for k in range(6):
+        expected = trials * p**k * (1 - p) ** (5 - k)
+        for subset in map(frozenset, combinations(range(5), k)):
+            chi2 += (counts[subset] - expected) ** 2 / expected
+    assert chi2 < 61.1
 
 
 def test_break_triangles_returns_input_when_triangle_free(petersen):
@@ -275,7 +315,7 @@ def test_sparsify_deterministic():
 def test_sparsify_retries_exhausted_carries_stats():
     g = named_fixture("cycle-9")
     with pytest.raises(RetriesExhausted) as err:
-        sparsify_independent_set(g, 0.1, seed=3, degree_cutoff=0, max_retries=1)
+        sparsify_independent_set(g, 0.1, seed=2, degree_cutoff=0, max_retries=1)
     assert len(err.value.attempts) == 1
     assert err.value.attempts[0].outcome != "pass"
 
