@@ -1,20 +1,22 @@
 """Immutable simple undirected graphs and the structural checks built on them.
 
 Vertices are dense integers ``0..n-1`` and adjacency is kept as sorted
-tuples, which makes triangle enumeration by neighbor intersection cheap and
-lets graph values be shared freely across threads. An induced subgraph is
-a new graph together with its kept vertices; vertex deletion elsewhere is a
-mask over the unchanged graph.
+tuples, so graph values can be shared freely across threads. A dense graph,
+one with ``n**2 <= 128 * m``, also gets one int bitmask per row on first
+use; its triangles and induced subgraphs are then found by ANDing masks,
+and any other graph's by intersecting neighbor sets. An induced subgraph
+is a new graph together with its kept vertices; vertex deletion elsewhere
+is a mask over the unchanged graph.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, starmap
-from operator import index, lt
+from itertools import chain, islice, repeat, starmap
+from operator import index, lshift, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -47,8 +49,12 @@ class Graph:
     (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
     ``contract_matching`` and the projective, polarity and ``random_regular``
     generators build such rows directly, checked by ``oracle.validate_graph``
-    in tests. Derived facts (``m``, ``degree_profile``, ``triangles``) are
-    computed on first use and cached on the graph.
+    in tests. Derived facts (``m``, ``degree_profile``, ``triangles`` and
+    the private row masks) are computed on first use and cached on the
+    graph. The masks exist only while ``n**2 <= 128 * m``: past that the
+    masks (``n`` bits a row) would outweigh the rows' pointers (64 bits a
+    neighbor), so the bound is a fact about the graph's size, and nothing
+    sets it.
     """
 
     n: int
@@ -56,7 +62,7 @@ class Graph:
 
     @cached_property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     @cached_property
     def degree_profile(self) -> tuple[int, int, bool]:
@@ -69,33 +75,24 @@ class Graph:
         return (lo, hi, lo == hi)
 
     @cached_property
+    def _row_masks(self) -> tuple[int, ...] | None:
+        """Bit ``w`` of ``_row_masks[v]`` is set iff ``w`` is a neighbor of
+        ``v``; ``None`` when ``n**2 > 128 * m``."""
+        if self.n * self.n > 128 * self.m:
+            return None
+        return _masks_of(self.adjacency)
+
+    @cached_property
     def triangles(self) -> tuple[Triangle, ...]:
         """All triangles, each exactly once as a sorted tuple, in sorted order.
 
-        Neighbor intersection over the (degree, id) order: ``w`` follows
-        ``v`` iff ``(deg[w], w) > (deg[v], v)``, read off one list of the
-        degrees (small cached ints), so no rank is computed per vertex. Each
-        vertex keeps the tuple of its later neighbors, and every triangle is
-        reported from its first vertex in that order, so no deduplication
-        pass is needed, and the listing takes O(m^1.5) time.
+        A graph with row masks ANDs them (:func:`_mask_triangles`); any
+        other lists by neighbor sets (:func:`_set_triangles`).
         """
-        adjacency = self.adjacency
-        deg = [len(row) for row in adjacency]
-        forward = [
-            tuple([w for w in row if deg[w] > d or (deg[w] == d and w > v)])
-            for v, (row, d) in enumerate(zip(adjacency, deg))
-        ]
-        triangles: list[Triangle] = []
-        for u, fu in enumerate(forward):
-            if len(fu) < 2:  # u is the first vertex of its triangles
-                continue
-            later = set(fu)
-            for v in fu:
-                for w in later.intersection(forward[v]):
-                    a, b, c = sorted((u, v, w))
-                    triangles.append((a, b, c))
-        triangles.sort()
-        return tuple(triangles)
+        masks = self._row_masks
+        if masks is None:
+            return _set_triangles(self.adjacency)
+        return _mask_triangles(self.adjacency, masks)
 
     def has_edge(self, u: int, v: int) -> bool:
         """False whenever ``u`` or ``v`` lies outside ``[0, n)``. Scans the
@@ -110,6 +107,62 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _masks_of(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """One int per row, with bit ``w`` set for each neighbor ``w``. The
+    neighbors are distinct, so the sum of their bits is their OR."""
+    bits = list(map(lshift, repeat(1, len(adjacency)), range(len(adjacency))))
+    return tuple([sum(map(bits.__getitem__, row)) for row in adjacency])
+
+
+def _set_triangles(adjacency: tuple[tuple[int, ...], ...]) -> tuple[Triangle, ...]:
+    """Neighbor intersection over the (degree, id) order: ``w`` follows
+    ``v`` iff ``(deg[w], w) > (deg[v], v)``, read off one list of the
+    degrees (small cached ints), so no rank is computed per vertex. Each
+    vertex keeps the tuple of its later neighbors, and every triangle is
+    reported from its first vertex in that order, so no deduplication pass
+    is needed, and the listing takes O(m^1.5) time.
+    """
+    deg = [len(row) for row in adjacency]
+    forward = [
+        tuple([w for w in row if deg[w] > d or (deg[w] == d and w > v)])
+        for v, (row, d) in enumerate(zip(adjacency, deg))
+    ]
+    triangles: list[Triangle] = []
+    for u, fu in enumerate(forward):
+        if len(fu) < 2:  # u is the first vertex of its triangles
+            continue
+        later = set(fu)
+        for v in fu:
+            for w in later.intersection(forward[v]):
+                a, b, c = sorted((u, v, w))
+                triangles.append((a, b, c))
+    triangles.sort()
+    return tuple(triangles)
+
+
+def _mask_triangles(
+    adjacency: tuple[tuple[int, ...], ...], masks: tuple[int, ...]
+) -> tuple[Triangle, ...]:
+    """For each edge ``u < v``, the common neighbors ``w > v`` are the set
+    bits of ``(masks[u] & masks[v]) >> (v + 1)``, one AND per edge and one
+    bit extraction per triangle. ``u``, ``v`` and then ``w`` ascend, so
+    the triangles come out sorted. Each ``w`` is read from one list of
+    the ids, so the triangles share one int object per vertex."""
+    ids = list(range(len(adjacency)))
+    triangles: list[Triangle] = []
+    append = triangles.append
+    for u, (row, mu) in enumerate(zip(adjacency, masks)):
+        if len(row) < 2:  # u is in no triangle
+            continue
+        for v in row[bisect_right(row, u):]:
+            x = (mu & masks[v]) >> (v + 1)
+            while x:
+                low = x & -x
+                append((u, v, ids[v + low.bit_length()]))
+                x ^= low
+    return tuple(triangles)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -151,17 +204,49 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Subgraph induced by ``vertices`` plus ``kept``, the selected vertices
     sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected
     vertex outside ``[0, n)`` raises ``ValueError`` naming the smallest one.
+    A graph with row masks is induced by :func:`_induce_by_masks`, any
+    other by :func:`_induce_by_sets`.
     """
     members = frozenset(vertices)
     chosen = sorted(members)
     if chosen and (chosen[0] < 0 or chosen[-1] >= g.n):
         bad = chosen[0] if chosen[0] < 0 else chosen[bisect_left(chosen, g.n)]
         raise ValueError(f"vertex {bad} out of range for n={g.n}")
-    mapping = dict(zip(chosen, range(len(chosen))))
-    # each kept row is its set intersection with the sample, met in C
-    get, meet, rows = mapping.__getitem__, members.intersection, g.adjacency
-    adjacency = tuple([tuple(map(get, sorted(meet(rows[old])))) for old in chosen])
+    masks = g._row_masks
+    if masks is None:
+        adjacency = _induce_by_sets(g.adjacency, members, chosen)
+    else:
+        adjacency = _induce_by_masks(masks, chosen)
     return Graph(len(chosen), adjacency), tuple(chosen)
+
+
+def _induce_by_sets(
+    adjacency: tuple[tuple[int, ...], ...], members: VertexSet, chosen: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The rows induced on ``chosen`` (sorted, in range, the elements of
+    ``members``), renumbered: each kept row is its set intersection with
+    the sample, met in C."""
+    get = dict(zip(chosen, range(len(chosen)))).__getitem__
+    meet = members.intersection
+    return tuple([tuple(map(get, sorted(meet(adjacency[old])))) for old in chosen])
+
+
+def _induce_by_masks(masks: tuple[int, ...], chosen: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows induced on ``chosen`` (sorted, distinct, in range),
+    renumbered: each kept row is its mask ANDed with the sample's, read
+    off from the lowest bit up, so each row comes out sorted."""
+    get = dict(zip(chosen, range(len(chosen)))).__getitem__
+    sample = sum(map(lshift, repeat(1, len(chosen)), chosen))
+    rows = []
+    for old in chosen:
+        x = masks[old] & sample
+        row = []
+        while x:
+            low = x & -x
+            row.append(get(low.bit_length() - 1))
+            x ^= low
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:

@@ -16,12 +16,22 @@ from indmatch import (
     induced_subgraph,
     is_induced_matching,
     named_fixture,
+    projective_incidence_graph,
     pull_back_matching,
     random_regular,
     read_edge_list,
     write_edge_list,
 )
-from indmatch.graph import Graph, canonical_matching, edge_line_columns
+from indmatch.graph import (
+    Graph,
+    _induce_by_masks,
+    _induce_by_sets,
+    _mask_triangles,
+    _masks_of,
+    _set_triangles,
+    canonical_matching,
+    edge_line_columns,
+)
 from indmatch.oracle import (
     canonical_matching_bf,
     count_triangles_bf,
@@ -135,8 +145,25 @@ def test_triangle_listing_peaks_below_the_quotient_size():
     matching = greedy_matching(g)
     _, quotient_bytes, contracted = _traced_bytes(lambda: contract_matching(g, matching))
     q = contracted.graph
+    assert q._row_masks is None  # n**2 > 128 * m: the set kernel lists it
     peak, _, _ = _traced_bytes(lambda: Graph.triangles.func(q))
     assert peak <= 0.8 * quotient_bytes, (peak, quotient_bytes)
+
+
+def test_mask_triangle_listing_peaks_below_the_quotient_size():
+    # the masks (cached on q), their bit table and the listing's
+    # temporaries stay below the rows they are built from; the triangles
+    # returned outweigh this quotient, so they are counted apart
+    g = projective_incidence_graph(31)
+    matching = greedy_matching(g)
+    _, quotient_bytes, contracted = _traced_bytes(lambda: contract_matching(g, matching))
+    q = contracted.graph
+    _, mask_bytes, masks = _traced_bytes(lambda: _masks_of(q.adjacency))
+    peak, retained, triangles = _traced_bytes(lambda: Graph.triangles.func(q))
+    assert q.__dict__["_row_masks"] == masks  # the mask path ran
+    assert triangles == _set_triangles(q.adjacency)
+    above_result = peak - (retained - mask_bytes)
+    assert above_result <= 0.8 * quotient_bytes, (above_result, quotient_bytes)
 
 
 def test_pull_back_reads_a_frozenset_uncopied():
@@ -195,6 +222,19 @@ def test_enumerate_triangles_matches_bruteforce(g):
     )
     assert enumerate_triangles(g) == brute
     assert enumerate_triangles(g) is enumerate_triangles(g)  # cached on g
+    # graphs this small all take the mask path, so each kernel also runs
+    # directly, whichever side of the size rule g falls on
+    assert len(brute) == count_triangles_bf(g)
+    assert _set_triangles(g.adjacency) == brute
+    assert _mask_triangles(g.adjacency, _masks_of(g.adjacency)) == brute
+
+
+def test_row_masks_size_rule_boundary():
+    # masks exist iff n**2 <= 128 * m; a cycle has m = n
+    at = named_fixture("cycle-128")
+    assert at._row_masks == tuple((1 << (v - 1) % 128) | (1 << (v + 1) % 128) for v in range(128))
+    assert named_fixture("cycle-129")._row_masks is None
+    assert from_edge_list(0, [])._row_masks == ()
 
 
 def test_enumerate_triangles_matches_bruteforce_up_to_64():
@@ -207,6 +247,8 @@ def test_enumerate_triangles_matches_bruteforce_up_to_64():
         random_regular(63, 8, 32),
     ):
         assert len(enumerate_triangles(g)) == count_triangles_bf(g)
+        assert _set_triangles(g.adjacency) == enumerate_triangles(g)
+        assert _mask_triangles(g.adjacency, _masks_of(g.adjacency)) == enumerate_triangles(g)
 
 
 def test_induced_subgraph_examples(c6):
@@ -244,6 +286,9 @@ def test_induced_subgraph_matches_edge_list_twin(g, data):
     )
     assert kept == tuple(chosen)
     assert sub.adjacency == twin.adjacency
+    # both forms of induction, whichever side of the size rule g falls on
+    assert _induce_by_sets(g.adjacency, frozenset(keep), chosen) == twin.adjacency
+    assert _induce_by_masks(_masks_of(g.adjacency), chosen) == twin.adjacency
 
 
 def test_induced_subgraph_rejects_out_of_range(c6):
@@ -251,6 +296,12 @@ def test_induced_subgraph_rejects_out_of_range(c6):
         induced_subgraph(c6, [-1, 7])
     with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
         induced_subgraph(c6, [2, 6, 9])
+    # a graph with row masks checks the range before any shift
+    k4 = named_fixture("complete-4")
+    assert k4._row_masks is not None
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            induced_subgraph(k4, [0, bad, 2])
 
 
 def test_has_edge_out_of_range_ids(c6):
