@@ -340,6 +340,9 @@ def is_proper_edge_coloring_bf(g: Graph, coloring: EdgeColoring) -> bool:
         return False
     seen: list[set[int]] = [set() for _ in range(g.n)]
     for (u, v), c in coloring.colors.items():
+        # a key equal to an edge may still hold floats, such as (0.0, 1.0)
+        if not all(isinstance(x, int) for x in (u, v, c)):
+            return False
         if not 0 <= c < coloring.num_colors or c in seen[u] or c in seen[v]:
             return False
         seen[u].add(c)

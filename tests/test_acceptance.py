@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Every tolerance is fixed
 here; the randomized checks use frozen seeds so the suite is deterministic.
 """
 
+import hashlib
 import math
 import random
 import statistics
@@ -17,6 +18,8 @@ from indmatch import (
     PipelineConfig,
     enumerate_triangles,
     extract_matching,
+    from_edge_list,
+    greedy_matching,
     induced_matching,
     is_induced_matching,
     misra_gries_edge_color,
@@ -157,6 +160,32 @@ def test_criterion_3_matching_guarantee(corpus):
         checked += 1
     assert checked >= 450
     print(f"\nACCEPTANCE 3 (matching guarantee): PASS - {checked} regular graphs")
+
+
+# The graphs on which the greedy matching is short of ceil(m/(Δ+1)), so that
+# prepare_pipeline takes the largest Misra-Gries class instead: 22 of the
+# corpus, all regular, and K4 minus an edge. FALLBACK_DIGEST is the sha256 of
+# the repr of the (name, prepared matching) list, pinned before the colorer
+# moved from flat tables to per-vertex color maps.
+FALLBACK_GRAPHS = [
+    "rr-8-4-1", "rr-8-4-3", "rr-8-4-4", "rr-8-5-1", "rr-8-5-3", "rr-10-5-2",
+    "rr-10-5-3", "rr-12-4-4", "rr-14-3-0", "rr-16-5-2", "rr-18-4-3",
+    "rr-18-5-0", "rr-22-5-1", "rr-22-5-2", "rr-38-4-0", "rr-38-4-1",
+    "rr-46-5-0", "rr-50-5-2", "rr-52-5-0", "rr-64-5-3", "rr-21-4-0",
+    "rr-61-4-1", "k4-minus-edge",
+]
+FALLBACK_DIGEST = "4c7fafe2703649730e83239bd8ffe83cf39e8c5b2ab17b0ee79b98bcc4c926d8"
+
+
+def test_fallback_matchings_are_frozen(corpus):
+    k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    fallbacks = []
+    for name, g in [*corpus, ("k4-minus-edge", k4_minus_edge)]:
+        _, dmax, _ = g.degree_profile
+        if dmax and len(greedy_matching(g)) * (dmax + 1) < g.m:
+            fallbacks.append((name, prepare_pipeline(g, PipelineConfig()).matching))
+    assert [name for name, _ in fallbacks] == FALLBACK_GRAPHS
+    assert hashlib.sha256(repr(fallbacks).encode()).hexdigest() == FALLBACK_DIGEST
 
 
 def test_criterion_4_threshold_statistics():

@@ -29,6 +29,7 @@ from indmatch.oracle import (
     contract_matching_bf,
     greedy_matching_bf,
     is_independent_set,
+    is_proper_edge_coloring_bf,
     max_independent_set_bf,
     validate_graph,
 )
@@ -122,7 +123,7 @@ def test_frozen_colorings(name):
 
 
 def test_coloring_builds_no_edge_tuples(monkeypatch):
-    # the tables are indexed by vertex and color, never by an edge tuple
+    # the maps are keyed by vertex and color, never by an edge tuple
     calls = []
 
     def counting(u, v, _original=graph_module.ordered_edge):
@@ -149,6 +150,23 @@ def test_extract_matching_examples(heawood):
 def test_extract_matching_rejects_improper(c6):
     bad = EdgeColoring({e: 0 for e in c6.edges()}, 1)
     with pytest.raises(ValueError):
+        extract_matching(c6, bad)
+
+
+@pytest.mark.parametrize(
+    "key, color",
+    [((0, 1), 0.5), ((0, 1), "a"), (("a", "b"), 0), ((0.0, 1.0), 0), ((0, 1, 2), 0)],
+    ids=["float-color", "str-color", "str-key", "float-key", "triple-key"],
+)
+def test_coloring_checks_reject_non_int_keys_and_colors(c6, key, color):
+    # the key replaces the edge (0, 1), so the count of keys stays m
+    colors = dict(misra_gries_edge_color(c6).colors)
+    del colors[(0, 1)]
+    colors[key] = color
+    bad = EdgeColoring(colors, 3)
+    assert is_proper_edge_coloring(c6, bad) is False
+    assert is_proper_edge_coloring_bf(c6, bad) is False
+    with pytest.raises(ValueError, match="not a proper edge coloring"):
         extract_matching(c6, bad)
 
 
@@ -222,6 +240,18 @@ def test_pull_back_rejects_out_of_range(c6):
         pull_back_matching(cg, [-1])  # -1 must not alias vertex 1
     with pytest.raises(ValueError, match=r"vertex 2 out of range for n=2"):
         pull_back_matching(cg, [2])
+
+
+def test_pull_back_rejects_non_integer_ids(c6):
+    # the same error as contract_matching and is_induced_matching give
+    cg = contract_matching(c6, [(0, 1), (3, 4)])
+    with pytest.raises(ValueError, match=r"^vertex id 1\.0 is not an integer$"):
+        pull_back_matching(cg, [0, 1.0])
+    with pytest.raises(ValueError, match=r"^vertex id 'a' is not an integer$"):
+        pull_back_matching(cg, ["a"])
+    with pytest.raises(ValueError, match=r"vertex 2 out of range for n=2"):
+        pull_back_matching(cg, [True, 2])  # bool passes operator.index
+    assert pull_back_matching(cg, frozenset([True])) == ((3, 4),)
 
 
 def test_contract_degree_bound():
