@@ -54,25 +54,30 @@ def _orthogonal_points(q: int) -> list[tuple[int, ...]]:
     normalized form, in enumeration order: ``(1, y, z)`` at index
     ``y*q + z``, then ``(0, 1, z)`` at ``q*q + z``, then ``(0, 0, 1)``.
     Every point has exactly ``q + 1`` orthogonal points, so the whole
-    table costs O(q^3).
+    table costs O(q^3). Each solution is read from one list of the point
+    ids, so the rows share one int object per point.
     """
     qq = q * q
+    ids = list(range(qq + q + 1))
     perp: list[tuple[int, ...]] = []
     for a, b, c in _projective_points(q):
         if c:
             # z = s + t*y for (1, y, z), z = t for (0, 1, z), never (0, 0, 1)
             inv = pow(c, -1, q)
             s, t = -a * inv % q, -b * inv % q
-            row = [y * q + (s + t * y) % q for y in range(q)]
-            row.append(qq + t)
+            row, z = [], s
+            for start in range(0, qq, q):  # (1, y, z) is at start + z
+                row.append(ids[start + z])
+                z = (z + t) % q
+            row.append(ids[qq + t])
         elif b:
             # y = -a/b for (1, y, z) with any z; then only (0, 0, 1)
             y = -a * pow(b, -1, q) % q
-            row = [y * q + z for z in range(q)]
-            row.append(qq + q)
+            row = ids[y * q : y * q + q]
+            row.append(ids[qq + q])
         else:
             # (1, 0, 0): every (0, 1, z) and (0, 0, 1)
-            row = [qq + z for z in range(q + 1)]
+            row = ids[qq:]
         perp.append(tuple(row))
     return perp
 
@@ -86,14 +91,16 @@ def projective_incidence_graph(q: int) -> Graph:
     enumeration, and point ``i`` joins line ``j`` when their coordinate
     vectors are orthogonal mod ``q``. The rows come straight from the
     ``q + 1`` solutions of each point's linear equation, so building the
-    graph is O(q^3). The result is (q+1)-regular with girth 6, hence
-    triangle-free and C4-free.
+    graph is O(q^3). A point's row maps its solutions through one list of
+    the line ids, so the graph holds one int object per vertex. The result
+    is (q+1)-regular with girth 6, hence triangle-free and C4-free.
     """
     _require_prime(q)
     perp = _orthogonal_points(q)
     n = len(perp)
+    lines = list(range(n, 2 * n))
     # orthogonality is symmetric, so line j's points are perp[j]
-    rows = [tuple(n + j for j in row) for row in perp] + perp
+    rows = [tuple(map(lines.__getitem__, row)) for row in perp] + perp
     return Graph(2 * n, tuple(rows))
 
 
@@ -104,7 +111,7 @@ def polarity_graph(q: int) -> Graph:
     Vertices are the ``q*q + q + 1`` projective points; two distinct points
     are adjacent when orthogonal. Row ``i`` is the ``q + 1`` solutions of
     point ``i``'s linear equation minus ``i`` itself, so building the graph
-    is O(q^3). Exactly ``q + 1`` self-orthogonal points have degree ``q``;
+    is O(q^3), and the rows share one int object per point. Exactly ``q + 1`` self-orthogonal points have degree ``q``;
     all others have degree ``q + 1``.
     """
     _require_prime(q)

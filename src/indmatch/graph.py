@@ -40,6 +40,22 @@ def _not_an_id(u, v) -> ValueError:
     return ValueError(f"vertex id {v!r} is not an integer")
 
 
+def _int_ids(ids: VertexSet) -> VertexSet:
+    """``ids`` itself when every element is a plain int, which one C-level
+    pass over their types decides; otherwise the frozenset of their
+    ``operator.index`` values. An id that ``operator.index`` rejects
+    raises ``ValueError``."""
+    if set(map(type, ids)) <= {int}:
+        return ids
+    converted = []
+    for x in ids:
+        try:
+            converted.append(index(x))
+        except TypeError:
+            raise ValueError(f"vertex id {x!r} is not an integer") from None
+    return frozenset(converted)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
@@ -49,7 +65,10 @@ class Graph:
     (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
     ``contract_matching`` and the projective, polarity and ``random_regular``
     generators build such rows directly, checked by ``oracle.validate_graph``
-    in tests. Derived facts (``m``, ``degree_profile``, ``triangles`` and
+    in tests. Those builders and :func:`read_edge_list` fill the rows from
+    one int object per vertex id, so a row entry costs a pointer and not a
+    32-byte int of its own; :func:`from_edge_list` keeps the id objects it
+    is given. Derived facts (``m``, ``degree_profile``, ``triangles`` and
     the private row masks) are computed on first use and cached on the
     graph. The masks exist only while ``n**2 <= 128 * m``: past that the
     masks (``n`` bits a row) would outweigh the rows' pointers (64 bits a
@@ -202,12 +221,13 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices`` plus ``kept``, the selected vertices
-    sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected
-    vertex outside ``[0, n)`` raises ``ValueError`` naming the smallest one.
-    A graph with row masks is induced by :func:`_induce_by_masks`, any
-    other by :func:`_induce_by_sets`.
+    sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected id
+    that ``operator.index`` rejects, or a selected vertex outside
+    ``[0, n)``, raises ``ValueError``; the range error names the smallest
+    such vertex. A graph with row masks is induced by
+    :func:`_induce_by_masks`, any other by :func:`_induce_by_sets`.
     """
-    members = frozenset(vertices)
+    members = _int_ids(frozenset(vertices))
     chosen = sorted(members)
     if chosen and (chosen[0] < 0 or chosen[-1] >= g.n):
         bad = chosen[0] if chosen[0] < 0 else chosen[bisect_left(chosen, g.n)]

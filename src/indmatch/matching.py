@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
 
-from .graph import Edge, Graph, Matching, _matching_owner
+from .graph import Edge, Graph, Matching, _int_ids, _matching_owner
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,13 @@ def is_proper_edge_coloring(g: Graph, coloring: EdgeColoring) -> bool:
     """Every edge colored, ids in range, and no color repeated at a vertex.
     Keys are the edge set iff there are ``m`` of them, each an edge of ``g``.
     A key that is not a pair of ints, or a color that is not an int, gives
-    ``False``."""
+    ``False``. The colors seen are held as ``(vertex, color)`` pairs, two
+    per edge, so the memory is bounded by the edge count and not by the
+    largest color."""
     if len(coloring.colors) != g.m:
         return False
     n, num_colors = g.n, coloring.num_colors
-    used = [0] * n  # bit c of used[v] is set iff v has a c-colored edge
+    used = set()  # (v, c) for each c-colored edge at v
     for key, c in coloring.colors.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             return False
@@ -48,11 +49,10 @@ def is_proper_edge_coloring(g: Graph, coloring: EdgeColoring) -> bool:
             return False
         if not (0 <= u < v < n and g.has_edge(u, v) and 0 <= c < num_colors):
             return False
-        bit = 1 << c
-        if (used[u] | used[v]) & bit:
+        if (u, c) in used or (v, c) in used:
             return False
-        used[u] |= bit
-        used[v] |= bit
+        used.add((u, c))
+        used.add((v, c))
     return True
 
 
@@ -199,15 +199,7 @@ def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:
     returns, is read as given, not copied: plain ints are checked by C-level
     passes, and only other ids go through ``operator.index`` one by one."""
     rep = contracted.rep
-    chosen = frozenset(vertices)
-    if not set(map(type, chosen)) <= {int}:
-        ids = []
-        for x in chosen:
-            try:
-                ids.append(index(x))
-            except TypeError:
-                raise ValueError(f"vertex id {x!r} is not an integer") from None
-        chosen = frozenset(ids)
+    chosen = _int_ids(frozenset(vertices))
     if chosen and not (0 <= min(chosen) and max(chosen) < len(rep)):
         x = min(chosen) if min(chosen) < 0 else max(chosen)
         raise ValueError(f"vertex {x} out of range for n={len(rep)}")

@@ -21,6 +21,7 @@ from math import log, log1p
 from .graph import (
     Graph,
     VertexSet,
+    _int_ids,
     enumerate_triangles,
     induced_subgraph,
 )
@@ -152,9 +153,12 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
     graph the output always has size at least ``ceil(n / (davg + 1))``; with
     average degree ``davg >= 2`` it additionally attains
     ``SHEARER_CONSTANT * n * ln(davg) / davg`` on the whole test corpus
-    (the classical Shearer-type scaling).
+    (the classical Shearer-type scaling). An id in ``removed`` that
+    ``operator.index`` rejects, or one outside ``[0, n)``, raises
+    ``ValueError``.
     """
     n, adjacency = g.n, g.adjacency
+    removed = _int_ids(removed)
     bad = [v for v in removed if not 0 <= v < n]
     if bad:
         raise ValueError(f"vertex {min(bad)} out of range for n={n}")

@@ -16,6 +16,7 @@ from indmatch import (
     induced_subgraph,
     is_induced_matching,
     named_fixture,
+    polarity_graph,
     projective_incidence_graph,
     pull_back_matching,
     random_regular,
@@ -184,6 +185,53 @@ def test_random_regular_peaks_near_the_retained_size():
     assert peak <= 1.6 * retained, (peak, retained)
 
 
+def _reread(g):
+    text = io.StringIO()
+    write_edge_list(g, text)
+    text.seek(0)
+    return read_edge_list(text)
+
+
+def _induced(g, keep, masked):
+    assert (g._row_masks is not None) == masked  # the kernel under test runs
+    return induced_subgraph(g, keep)[0]
+
+
+def _quotient(g):
+    return contract_matching(g, greedy_matching(g)).graph
+
+
+# Each builder that makes its own rows, on graphs whose ids pass 256:
+# CPython caches the ints up to 256, so smaller graphs share them anyway.
+SHARED_ID_BUILDERS = {
+    "projective-13": lambda: projective_incidence_graph(13),
+    "projective-31": lambda: projective_incidence_graph(31),
+    "polarity-17": lambda: polarity_graph(17),
+    "polarity-31": lambda: polarity_graph(31),
+    "random-regular": lambda: random_regular(2000, 4, 1),
+    "read-edge-list": lambda: _reread(random_regular(2000, 4, 1)),
+    "quotient": lambda: _quotient(random_regular(2000, 4, 1)),
+    "induced-by-sets": lambda: _induced(random_regular(2000, 4, 1), range(0, 2000, 2), False),
+    "induced-by-masks": lambda: _induced(polarity_graph(31), range(0, 993, 2), True),
+}
+
+
+@pytest.mark.parametrize("build", SHARED_ID_BUILDERS.values(), ids=list(SHARED_ID_BUILDERS))
+def test_rows_hold_one_int_object_per_vertex(build):
+    g = build()
+    assert g.n > 257
+    assert len({id(x) for row in g.adjacency for x in row}) <= g.n
+
+
+@pytest.mark.parametrize(
+    "build", [projective_incidence_graph, polarity_graph], ids=lambda f: f.__name__
+)
+def test_projective_families_retain_under_16_bytes_per_edge_end(build):
+    # a row entry is a pointer to a shared id, not an int object of its own
+    _, retained, g = _traced_bytes(lambda: build(31))
+    assert retained <= 16 * 2 * g.m, (retained, 2 * g.m)
+
+
 def test_graph_is_immutable(petersen):
     with pytest.raises(AttributeError):
         petersen.n = 3
@@ -302,6 +350,17 @@ def test_induced_subgraph_rejects_out_of_range(c6):
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
             induced_subgraph(k4, [0, bad, 2])
+
+
+def test_induced_subgraph_rejects_non_integer_ids(c6):
+    # the same error as pull_back_matching gives, before any range check
+    with pytest.raises(ValueError, match=r"^vertex id 1\.0 is not an integer$"):
+        induced_subgraph(c6, [0, 1.0])
+    with pytest.raises(ValueError, match=r"^vertex id 'a' is not an integer$"):
+        induced_subgraph(c6, ["a"])
+    with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
+        induced_subgraph(c6, [True, 6])  # bool passes operator.index
+    assert induced_subgraph(c6, [True, 2]) == induced_subgraph(c6, [1, 2])
 
 
 def test_has_edge_out_of_range_ids(c6):

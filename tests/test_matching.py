@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -168,6 +169,20 @@ def test_coloring_checks_reject_non_int_keys_and_colors(c6, key, color):
     assert is_proper_edge_coloring_bf(c6, bad) is False
     with pytest.raises(ValueError, match="not a proper edge coloring"):
         extract_matching(c6, bad)
+
+
+def test_coloring_check_memory_does_not_grow_with_the_color():
+    # one edge with color 10**8: a bitmask per vertex would hold 10**8 bits
+    k2 = named_fixture("complete-2")
+    coloring = EdgeColoring({(0, 1): 10**8}, 10**8 + 1)
+    tracemalloc.start()
+    try:
+        ok = is_proper_edge_coloring(k2, coloring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 2**20, peak
 
 
 def test_regular_matching_guarantee():

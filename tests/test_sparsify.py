@@ -201,6 +201,15 @@ def test_triangle_free_greedy_rejects_out_of_range_removed():
         triangle_free_independent_set(c6, frozenset({6}))
 
 
+def test_triangle_free_greedy_rejects_non_integer_removed():
+    c6 = named_fixture("cycle-6")
+    with pytest.raises(ValueError, match=r"^vertex id 1\.0 is not an integer$"):
+        triangle_free_independent_set(c6, {1.0})
+    assert triangle_free_independent_set(c6, frozenset({True})) == (
+        triangle_free_independent_set(c6, frozenset({1}))
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=12), st.data())
 def test_masked_greedy_matches_greedy_on_induced_remainder(g, data):
