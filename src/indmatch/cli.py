@@ -140,10 +140,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not params:
         raise ValueError("parameter list is empty; pass --q like 3,5,7")
     config = _pipeline_config(args)
-    # open --out before the first trial, so an unwritable path fails before
-    # any pipeline work
+    # an unwritable --out fails before any pipeline work, and a failed
+    # sweep leaves an existing --out as it was
+    if args.out:
+        open(args.out, "a", encoding="utf-8").close()
+    rows, summaries = _sweep(args, params, config)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        rows, summaries = _sweep(args, params, config)
         out.write("".join(f"{line}\n" for line in rows + summaries))
     if args.out:
         for line in summaries:

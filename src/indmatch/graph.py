@@ -11,7 +11,7 @@ is a mask over the unchanged graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,20 +40,26 @@ def _not_an_id(u, v) -> ValueError:
     return ValueError(f"vertex id {v!r} is not an integer")
 
 
-def _int_ids(ids: VertexSet) -> VertexSet:
-    """``ids`` itself when every element is a plain int, which one C-level
-    pass over their types decides; otherwise the frozenset of their
-    ``operator.index`` values. An id that ``operator.index`` rejects
-    raises ``ValueError``."""
-    if set(map(type, ids)) <= {int}:
-        return ids
-    converted = []
-    for x in ids:
-        try:
-            converted.append(index(x))
-        except TypeError:
-            raise ValueError(f"vertex id {x!r} is not an integer") from None
-    return frozenset(converted)
+def _vertex_ids(ids: Iterable[int], n: int) -> VertexSet:
+    """``frozenset(ids)``, checked to hold vertices of an ``n``-vertex
+    graph; a frozenset is read as given, not copied. Plain ints are checked
+    by C-level passes (one over their types, one ``min``, one ``max``), and
+    only other ids go through ``operator.index`` one by one. An id that
+    ``operator.index`` rejects raises ``ValueError``, and so does an id
+    outside ``[0, n)``: the error names the smallest such id."""
+    members = frozenset(ids)
+    if not set(map(type, members)) <= {int}:
+        converted = []
+        for x in members:
+            try:
+                converted.append(index(x))
+            except TypeError:
+                raise ValueError(f"vertex id {x!r} is not an integer") from None
+        members = frozenset(converted)
+    if members and not (0 <= min(members) and max(members) < n):
+        bad = min(x for x in members if not 0 <= x < n)
+        raise ValueError(f"vertex {bad} out of range for n={n}")
+    return members
 
 
 @dataclass(frozen=True)
@@ -223,15 +229,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Subgraph induced by ``vertices`` plus ``kept``, the selected vertices
     sorted, so new vertex ``i`` is old vertex ``kept[i]``. A selected id
     that ``operator.index`` rejects, or a selected vertex outside
-    ``[0, n)``, raises ``ValueError``; the range error names the smallest
-    such vertex. A graph with row masks is induced by
-    :func:`_induce_by_masks`, any other by :func:`_induce_by_sets`.
+    ``[0, n)``, raises ``ValueError`` (:func:`_vertex_ids`). A graph with
+    row masks is induced by :func:`_induce_by_masks`, any other by
+    :func:`_induce_by_sets`.
     """
-    members = _int_ids(frozenset(vertices))
+    members = _vertex_ids(vertices, g.n)
     chosen = sorted(members)
-    if chosen and (chosen[0] < 0 or chosen[-1] >= g.n):
-        bad = chosen[0] if chosen[0] < 0 else chosen[bisect_left(chosen, g.n)]
-        raise ValueError(f"vertex {bad} out of range for n={g.n}")
     masks = g._row_masks
     if masks is None:
         adjacency = _induce_by_sets(g.adjacency, members, chosen)
@@ -299,8 +302,9 @@ def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
 
 def _present_edges(g: Graph, matching) -> Matching:
     """Canonical edges of ``matching``. Any edge out of range or absent from
-    ``g`` raises ``ValueError``, wherever it stands in the matching; edges
-    sharing an endpoint are left to the caller."""
+    ``g`` raises ``ValueError``, wherever it stands in the matching. Two
+    edges sharing an endpoint pass: ``contract_matching`` raises on them,
+    and :func:`is_induced_matching` answers ``False``."""
     edges = canonical_matching(matching)
     n, adjacency = g.n, g.adjacency
     for u, v in edges:
@@ -309,21 +313,6 @@ def _present_edges(g: Graph, matching) -> Matching:
         if v not in adjacency[u]:
             raise ValueError(f"matching edge ({u}, {v}) not present in graph")
     return edges
-
-
-def _matching_owner(g: Graph, matching) -> tuple[Matching, list[int] | None]:
-    """Canonical edges of ``matching`` and the flat owner list: entry ``v``
-    is the index of the edge at endpoint ``v``, and ``-1`` at every other
-    host vertex. The list is ``None`` when two edges share an endpoint; any
-    edge out of range or absent from ``g`` raises ``ValueError`` first,
-    wherever it stands in the matching."""
-    edges = _present_edges(g, matching)
-    owner = [-1] * g.n
-    for idx, (u, v) in enumerate(edges):
-        if owner[u] >= 0 or owner[v] >= 0:
-            return edges, None
-        owner[u] = owner[v] = idx
-    return edges, owner
 
 
 def is_induced_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, Matching, _int_ids, _matching_owner
+from .graph import Edge, Graph, Matching, _present_edges, _vertex_ids
 
 
 @dataclass(frozen=True)
@@ -169,17 +169,20 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
     ``0..k-1`` in canonical order.
 
     The matching is canonicalized and checked once: an endpoint outside
-    ``[0, n)`` or a pair that is not an edge of ``g`` raises ``ValueError``,
-    and so do two edges sharing an endpoint, but only once every edge has
-    passed the first two checks. The row of vertex ``idx`` is the sorted
-    set of contracted vertices owning a host neighbor of either endpoint of
-    ``rep[idx]``, minus ``idx`` itself. Owners are read from the flat list
-    of :func:`~indmatch.graph._matching_owner`, which holds ``-1`` at every
-    unmatched host vertex, and ``-1`` is dropped from each row.
+    ``[0, n)`` or a pair that is not an edge of ``g`` raises ``ValueError``
+    (:func:`~indmatch.graph._present_edges`), and so do two edges sharing
+    an endpoint, but only once every edge has passed the first two checks.
+    The overlap check fills a flat owner list: entry ``v`` is the index of
+    the edge at endpoint ``v``, and ``-1`` at every unmatched host vertex.
+    The row of vertex ``idx`` is the sorted set of owners of the host
+    neighbors of either endpoint of ``rep[idx]``, minus ``idx`` and ``-1``.
     """
-    edges, owner = _matching_owner(g, matching)
-    if owner is None:
-        raise ValueError("edges do not form a matching")
+    edges = _present_edges(g, matching)
+    owner = [-1] * g.n
+    for idx, (u, v) in enumerate(edges):
+        if owner[u] >= 0 or owner[v] >= 0:
+            raise ValueError("edges do not form a matching")
+        owner[u] = owner[v] = idx
     get, adjacency = owner.__getitem__, g.adjacency
     # host adjacency is symmetric, so these sorted rows are too
     rows = []
@@ -195,12 +198,8 @@ def pull_back_matching(contracted: ContractedGraph, vertices) -> Matching:
     """Map an independent set of the quotient back to host edges; the result
     is an induced matching of the host. An id that ``operator.index``
     rejects, or a vertex outside ``[0, n)`` of the quotient, raises
-    ``ValueError``. A frozenset, which is what ``sparsify_independent_set``
-    returns, is read as given, not copied: plain ints are checked by C-level
-    passes, and only other ids go through ``operator.index`` one by one."""
+    ``ValueError`` (:func:`~indmatch.graph._vertex_ids`). A frozenset, which
+    is what ``sparsify_independent_set`` returns, is read as given, not
+    copied, and its plain ints are checked by C-level passes."""
     rep = contracted.rep
-    chosen = _int_ids(frozenset(vertices))
-    if chosen and not (0 <= min(chosen) and max(chosen) < len(rep)):
-        x = min(chosen) if min(chosen) < 0 else max(chosen)
-        raise ValueError(f"vertex {x} out of range for n={len(rep)}")
-    return tuple(sorted(rep[x] for x in chosen))
+    return tuple(sorted(map(rep.__getitem__, _vertex_ids(vertices, len(rep)))))

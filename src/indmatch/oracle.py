@@ -20,7 +20,6 @@ from .graph import (
     Graph,
     Matching,
     VertexSet,
-    _matching_owner,
     _not_an_id,
     from_edge_list,
     ordered_edge,
@@ -304,13 +303,20 @@ def greedy_matching_bf(g: Graph) -> Matching:
 
 
 def contract_matching_bf(g: Graph, matching) -> ContractedGraph:
-    """Dict-and-set twin of :func:`indmatch.matching.contract_matching`:
-    each row probes a dict from matched host vertex to edge index for every
-    neighbor of both endpoints."""
-    edges, owner = _matching_owner(g, matching)
-    if owner is None:
-        raise ValueError("edges do not form a matching")
+    """Dict-and-set twin of :func:`indmatch.matching.contract_matching`,
+    with its own checks and the same messages: edges are looked up in the
+    host's edge set, and an overlap leaves the dict from matched host
+    vertex to edge index short of two keys per edge. Each row probes that
+    dict for every neighbor of both endpoints."""
+    edges = canonical_matching_bf(matching)
+    host_edges = set(g.edges())
+    for u, v in edges:  # canonical, so u < v; checked in that order
+        if (u, v) not in host_edges:
+            fault = "not present in graph" if 0 <= u < v < g.n else f"out of range for n={g.n}"
+            raise ValueError(f"matching edge ({u}, {v}) {fault}")
     inv_rep = {x: idx for idx, e in enumerate(edges) for x in e}
+    if len(inv_rep) < 2 * len(edges):
+        raise ValueError("edges do not form a matching")
     adjacency = g.adjacency
     rows = []
     for idx, e in enumerate(edges):

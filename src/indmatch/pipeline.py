@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import (
-    Graph,
-    Matching,
-    Triangle,
-    enumerate_triangles,
-    is_induced_matching,
-)
+from .graph import Graph, Matching, enumerate_triangles, is_induced_matching
 from .matching import (
     ContractedGraph,
     contract_matching,
@@ -33,6 +27,7 @@ from .sparsify import (
     DEFAULT_DEGREE_CUTOFF,
     DEFAULT_MAX_RETRIES,
     TriangleBudgetExceeded,
+    _integer,
     check_run_limits,
     sparsify_independent_set,
     triangle_budget,
@@ -52,6 +47,7 @@ class EmptyMatchingError(ValueError):
 class PipelineConfig:
     """Knobs for one pipeline run. A run whose ``max_retries`` sampling
     attempts all fail raises ``RetriesExhausted``; no other path is taken.
+    ``B``, ``degree_cutoff`` and ``max_retries`` must pass ``operator.index``.
 
     ``B`` declares the forbidden complete bipartite subgraph K_{B,B}; it is
     not detected, only used to derive the triangle-budget exponent
@@ -69,7 +65,7 @@ class PipelineConfig:
     max_retries: int = DEFAULT_MAX_RETRIES
 
     def __post_init__(self):
-        if self.B < 2:
+        if _integer("B", self.B) < 2:
             raise ValueError(f"B must be >= 2, got {self.B}")
         check_run_limits(self.effective_epsilon(), self.degree_cutoff, self.max_retries)
 
@@ -92,17 +88,21 @@ class PipelineStats:
 @dataclass(frozen=True)
 class InducedMatchingResult:
     matching: Matching
-    size: int
     certificate: bool
     stats: PipelineStats
+
+    @property
+    def size(self) -> int:
+        return len(self.matching)
 
 
 @dataclass(frozen=True)
 class PreparedPipeline:
-    """Deterministic prefix of a run: a matching with at least m/(Δ+1)
-    edges (greedy, with Misra-Gries as fallback) and its contraction, all
-    independent of the seed. Building one, also by ``dataclasses.replace``,
-    runs the run's only triangle budget check.
+    """Deterministic prefix of a run: the contraction of a matching with at
+    least m/(Δ+1) edges (greedy, with Misra-Gries as fallback), independent
+    of the seed. The matching is the contraction's ``rep``, held once.
+    Building one, also by ``dataclasses.replace``, runs the run's only
+    triangle budget check.
 
     The contraction's graph caches its triangles, enumerated once here, so a
     sweep over seeds pays for the enumeration once.
@@ -110,13 +110,16 @@ class PreparedPipeline:
 
     graph: Graph
     config: PipelineConfig
-    matching: Matching
     contracted: ContractedGraph
 
     def __post_init__(self):
         measured = len(enumerate_triangles(self.contracted.graph))
         if measured > self.budget:
             raise TriangleBudgetExceeded(measured, self.budget)
+
+    @property
+    def matching(self) -> Matching:
+        return self.contracted.rep
 
     @property
     def contracted_max_degree(self) -> int:
@@ -133,12 +136,8 @@ class PreparedPipeline:
         )
 
     @property
-    def triangles(self) -> tuple[Triangle, ...]:
-        return self.contracted.graph.triangles
-
-    @property
     def contracted_triangles(self) -> int:
-        return len(self.triangles)
+        return len(self.contracted.graph.triangles)
 
 
 def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
@@ -152,12 +151,8 @@ def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
         # short of Vizing's ceil(m/(Δ+1)); a largest class of a (Δ+1)-edge
         # coloring meets it
         matching = extract_matching(graph, misra_gries_edge_color(graph))
-    return PreparedPipeline(
-        graph=graph,
-        config=config,
-        matching=matching,
-        contracted=contract_matching(graph, matching),
-    )
+    contracted = contract_matching(graph, matching)
+    return PreparedPipeline(graph=graph, config=config, contracted=contracted)
 
 
 def greedy_induced_matching(graph: Graph) -> Matching:
@@ -213,12 +208,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
         ratio=ratio,
         bypassed=found.bypassed,
     )
-    return InducedMatchingResult(
-        matching=matching,
-        size=len(matching),
-        certificate=certificate,
-        stats=stats,
-    )
+    return InducedMatchingResult(matching=matching, certificate=certificate, stats=stats)
 
 
 def induced_matching(

@@ -13,18 +13,13 @@ all of ``g`` already meets the target size there.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import log, log1p
 
-from .graph import (
-    Graph,
-    VertexSet,
-    _int_ids,
-    enumerate_triangles,
-    induced_subgraph,
-)
+from .graph import Graph, VertexSet, _vertex_ids, enumerate_triangles, induced_subgraph
 from .seeds import mix64
 
 DEFAULT_DEGREE_CUTOFF = 16
@@ -82,14 +77,22 @@ def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> flo
     return n_contracted * float(d_contracted) ** (2 - epsilon)
 
 
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, or a ``ValueError`` naming the knob."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_run_limits(epsilon: float, degree_cutoff: int, max_retries: int) -> None:
-    """Reject an ``epsilon`` outside (0, 3), a negative degree cutoff and
-    fewer than one sampling attempt, in that order."""
+    """Reject an ``epsilon`` outside (0, 3), a degree cutoff that is not an
+    integer >= 0 and a retry count that is not one >= 1, in that order."""
     if not 0 < epsilon < 3:
         raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
-    if degree_cutoff < 0:
+    if _integer("degree cutoff", degree_cutoff) < 0:
         raise ValueError(f"degree cutoff must be >= 0, got {degree_cutoff}")
-    if max_retries < 1:
+    if _integer("max retries", max_retries) < 1:
         raise ValueError(f"max retries must be >= 1, got {max_retries}")
 
 
@@ -155,13 +158,10 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
     ``SHEARER_CONSTANT * n * ln(davg) / davg`` on the whole test corpus
     (the classical Shearer-type scaling). An id in ``removed`` that
     ``operator.index`` rejects, or one outside ``[0, n)``, raises
-    ``ValueError``.
+    ``ValueError`` (:func:`~indmatch.graph._vertex_ids`).
     """
     n, adjacency = g.n, g.adjacency
-    removed = _int_ids(removed)
-    bad = [v for v in removed if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} out of range for n={n}")
+    removed = _vertex_ids(removed, n)
     deg = [len(nbrs) for nbrs in adjacency]
     alive = [True] * n
     for v in removed:
@@ -204,12 +204,19 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
 
 @dataclass(frozen=True)
 class IndependentSetResult:
-    """Independent set plus the per-attempt audit trail."""
+    """Independent set plus the per-attempt audit trail, which is empty on
+    the low-degree path."""
 
     vertices: VertexSet
-    attempts: int  # sampling attempts consumed (0 on the low-degree path)
     attempt_stats: tuple[AttemptStats, ...]
-    bypassed: bool  # low-degree path: no sampling
+
+    @property
+    def attempts(self) -> int:  # sampling attempts consumed
+        return len(self.attempt_stats)
+
+    @property
+    def bypassed(self) -> bool:  # low-degree path: no sampling
+        return not self.attempt_stats
 
 
 def _attempt(
@@ -270,12 +277,8 @@ def sparsify_independent_set(
     check_run_limits(epsilon, degree_cutoff, max_retries)
     _, d, _ = g.degree_profile
     if d <= degree_cutoff:
-        return IndependentSetResult(
-            vertices=triangle_free_independent_set(g, break_triangles(g)),
-            attempts=0,
-            attempt_stats=(),
-            bypassed=True,
-        )
+        vertices = triangle_free_independent_set(g, break_triangles(g))
+        return IndependentSetResult(vertices=vertices, attempt_stats=())
 
     p = float(d) ** (epsilon / 3 - 1)
     trail: list[AttemptStats] = []
@@ -284,10 +287,6 @@ def sparsify_independent_set(
         trail.append(stats)
         if stats.outcome == "pass":
             chosen = triangle_free_independent_set(subgraph, removed)
-            return IndependentSetResult(
-                vertices=frozenset([kept[v] for v in chosen]),
-                attempts=index + 1,
-                attempt_stats=tuple(trail),
-                bypassed=False,
-            )
+            vertices = frozenset([kept[v] for v in chosen])
+            return IndependentSetResult(vertices=vertices, attempt_stats=tuple(trail))
     raise RetriesExhausted(tuple(trail))

@@ -201,6 +201,22 @@ def test_experiment_counts_only_valid_certificates(monkeypatch):
     assert lines[-1] == "# floor=0.000100 verdict=FAIL"
 
 
+def test_failed_experiment_leaves_existing_out_file(tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    out_file.write_bytes(b"an earlier sweep\r\nkept as it was\n")
+    code, out, err = run_cli(
+        "experiment", "--family", "projective", "--q", "3,4", "--trials", "1",
+        "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("error: field order must be prime, got 4\n")
+    assert out_file.read_bytes() == b"an earlier sweep\r\nkept as it was\n"
+    # a sweep that succeeds replaces the whole file
+    assert run_cli("experiment", "--family", "projective", "--q", "3", "--trials", "1",
+                   "--out", str(out_file))[0] == 0
+    assert out_file.read_text().startswith(CSV_HEADER + "\n")
+
+
 def test_triangle_budget_exit_path(tmp_path):
     # K8 contracts to K4, whose 4 triangles exceed 4 * 3**(2 - 2.9)
     graph_file = tmp_path / "k8.txt"

@@ -344,6 +344,9 @@ def test_induced_subgraph_rejects_out_of_range(c6):
         induced_subgraph(c6, [-1, 7])
     with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
         induced_subgraph(c6, [2, 6, 9])
+    # several bad ids: the error names the smallest
+    with pytest.raises(ValueError, match=r"^vertex -3 out of range for n=6$"):
+        induced_subgraph(c6, [8, -1, 3, 6, -3])
     # a graph with row masks checks the range before any shift
     k4 = named_fixture("complete-4")
     assert k4._row_masks is not None

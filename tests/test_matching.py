@@ -217,21 +217,32 @@ def test_contract_examples(c6):
     assert len(enumerate_triangles(tri.graph)) == 1
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(graphs(max_n=12), st.data())
 def test_contraction_matches_dict_twin(g, data):
-    # any matching, not just the greedy one, so unmatched host neighbors
-    # reach the -1 owner sentinel; pairs come in either orientation
+    # drawn host edges in either orientation, so unmatched host neighbors
+    # reach the -1 owner sentinel; in half the draws an edge that shares an
+    # endpoint with an earlier one is kept too
     edges = list(g.edges())
     pairs = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    overlap = data.draw(st.booleans())
     matching, used = [], set()
     for u, v in pairs:
-        if u not in used and v not in used:
+        if overlap or (u not in used and v not in used):
             used |= {u, v}
             matching.append((v, u) if data.draw(st.booleans()) else (u, v))
-    fast, twin = contract_matching(g, matching), contract_matching_bf(g, matching)
-    assert fast.graph == twin.graph
-    assert fast.rep == twin.rep
+    # then maybe stray pairs of ids, which may be absent or out of range
+    ids = st.integers(-2, g.n + 1)
+    matching += data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=2))
+
+    def outcome(contract):
+        try:
+            contracted = contract(g, matching)
+        except ValueError as exc:
+            return str(exc)
+        return contracted.graph, contracted.rep
+
+    assert outcome(contract_matching) == outcome(contract_matching_bf)
 
 
 def test_contract_rejects_invalid(c6):
@@ -255,6 +266,9 @@ def test_pull_back_rejects_out_of_range(c6):
         pull_back_matching(cg, [-1])  # -1 must not alias vertex 1
     with pytest.raises(ValueError, match=r"vertex 2 out of range for n=2"):
         pull_back_matching(cg, [2])
+    # several bad ids: the error names the smallest, as induced_subgraph's does
+    with pytest.raises(ValueError, match=r"^vertex 2 out of range for n=2$"):
+        pull_back_matching(cg, [5, 2])
 
 
 def test_pull_back_rejects_non_integer_ids(c6):
@@ -342,4 +356,3 @@ def test_stage_matchings_are_canonical_already(build):
     certified = run_prepared(prep, 0).matching
     for m in (greedy, extracted, prep.matching, pulled, certified):
         assert m and canonical(m) is m
-    assert prep.contracted.rep is prep.matching

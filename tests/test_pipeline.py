@@ -115,6 +115,8 @@ def test_budget_follows_a_replaced_config():
     with pytest.raises(TriangleBudgetExceeded) as err:
         dataclasses.replace(prep, config=PipelineConfig(epsilon=2.0))
     assert (err.value.measured, err.value.budget) == (96, 56.0)
+    # the matching is read off the contraction, so no copy can disagree
+    assert [f.name for f in dataclasses.fields(prep)] == ["graph", "config", "contracted"]
 
 
 def test_budget_is_computed_once_per_prepared_pipeline(monkeypatch):
@@ -146,7 +148,15 @@ def test_config_validation():
         PipelineConfig(B=1)
     with pytest.raises(ValueError):
         PipelineConfig(epsilon=3.0)
-    for bad in ({"max_retries": 0}, {"max_retries": -3}, {"degree_cutoff": -1}):
+    for bad in (
+        {"max_retries": 0},
+        {"max_retries": -3},
+        {"degree_cutoff": -1},
+        # a knob that is not an integer fails here, not in run_prepared
+        {"max_retries": 2.5, "degree_cutoff": 0},
+        {"degree_cutoff": 16.0},
+        {"B": 3.0},
+    ):
         with pytest.raises(ValueError):
             PipelineConfig(**bad)
     assert PipelineConfig(max_retries=1, degree_cutoff=0).max_retries == 1
@@ -229,7 +239,7 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
     quotient_n = prep.contracted.graph.n
     assert sizes == [quotient_n]  # once, in the deterministic stage
-    assert prep.contracted_triangles == len(prep.triangles) > 0
+    assert prep.contracted_triangles == len(prep.contracted.graph.triangles) > 0
     sizes.clear()
     found = []  # sparsify results, for the per-attempt triangle counts
 

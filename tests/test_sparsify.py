@@ -66,7 +66,13 @@ def test_params_validation(petersen):
     for eps in (3.5, 3.0, 0.0, -1.0):
         with pytest.raises(ValueError, match="epsilon"):
             sparsify_independent_set(petersen, eps)
-    for bad in ({"max_retries": 0}, {"max_retries": -3}, {"degree_cutoff": -1}):
+    for bad in (
+        {"max_retries": 0},
+        {"max_retries": -3},
+        {"degree_cutoff": -1},
+        {"max_retries": 2.5, "degree_cutoff": 0},
+        {"degree_cutoff": 16.0},
+    ):
         with pytest.raises(ValueError):
             sparsify_independent_set(petersen, 1.0, **bad)
     # a bad epsilon is reported before a bad cutoff or retry count
@@ -199,6 +205,9 @@ def test_triangle_free_greedy_rejects_out_of_range_removed():
         triangle_free_independent_set(c6, frozenset({-1}))
     with pytest.raises(ValueError, match=r"^vertex 6 out of range for n=6$"):
         triangle_free_independent_set(c6, frozenset({6}))
+    # several bad ids: the error names the smallest
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=6$"):
+        triangle_free_independent_set(c6, frozenset({9, 2, 7, 12}))
 
 
 def test_triangle_free_greedy_rejects_non_integer_removed():
