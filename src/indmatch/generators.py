@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from .graph import Graph, from_edge_list
+from .graph import Graph, _ids, from_edge_list
 
 PAIRING_RESTART_BUDGET = 1000
 
@@ -54,11 +54,11 @@ def _orthogonal_points(q: int) -> list[tuple[int, ...]]:
     normalized form, in enumeration order: ``(1, y, z)`` at index
     ``y*q + z``, then ``(0, 1, z)`` at ``q*q + z``, then ``(0, 0, 1)``.
     Every point has exactly ``q + 1`` orthogonal points, so the whole
-    table costs O(q^3). Each solution is read from one list of the point
-    ids, so the rows share one int object per point.
+    table costs O(q^3). Each solution is read from the id table
+    (``graph._ids``), so the rows share one int object per point.
     """
     qq = q * q
-    ids = list(range(qq + q + 1))
+    ids = _ids(qq + q + 1)
     perp: list[tuple[int, ...]] = []
     for a, b, c in _projective_points(q):
         if c:
@@ -77,7 +77,7 @@ def _orthogonal_points(q: int) -> list[tuple[int, ...]]:
             row.append(ids[qq + q])
         else:
             # (1, 0, 0): every (0, 1, z) and (0, 0, 1)
-            row = ids[qq:]
+            row = ids[qq : qq + q + 1]
         perp.append(tuple(row))
     return perp
 
@@ -91,14 +91,14 @@ def projective_incidence_graph(q: int) -> Graph:
     enumeration, and point ``i`` joins line ``j`` when their coordinate
     vectors are orthogonal mod ``q``. The rows come straight from the
     ``q + 1`` solutions of each point's linear equation, so building the
-    graph is O(q^3). A point's row maps its solutions through one list of
-    the line ids, so the graph holds one int object per vertex. The result
+    graph is O(q^3). A point's row maps its solutions through the id
+    table's line ids, so the graph holds one int object per vertex. The result
     is (q+1)-regular with girth 6, hence triangle-free and C4-free.
     """
     _require_prime(q)
     perp = _orthogonal_points(q)
     n = len(perp)
-    lines = list(range(n, 2 * n))
+    lines = _ids(2 * n)[n : 2 * n]
     # orthogonality is symmetric, so line j's points are perp[j]
     rows = [tuple(map(lines.__getitem__, row)) for row in perp] + perp
     return Graph(2 * n, tuple(rows))
@@ -154,9 +154,10 @@ def _pairing_suitable(rows: list[list[int]], leftover: dict[int, int]) -> bool:
 
 def _try_pairing(n: int, d: int, rng: random.Random) -> list[list[int]] | None:
     # Each accepted pair goes straight into both rows; a row holds at most d
-    # entries, so the repeated-pair test is a short scan.
+    # entries, so the repeated-pair test is a short scan. The stubs are the
+    # id table's objects, so the rows share one int object per vertex.
     rows: list[list[int]] = [[] for _ in range(n)]
-    stubs = list(range(n)) * d
+    stubs = _ids(n)[:n] * d
     while stubs:
         leftover: dict[int, int] = defaultdict(int)
         _shuffle(stubs, rng)

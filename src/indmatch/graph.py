@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import chain, islice, repeat, starmap
 from operator import index, lshift, lt
 from pathlib import Path
+from threading import Lock
 from typing import IO, Iterable, Iterator
 
 VertexSet = frozenset[int]
@@ -28,6 +29,24 @@ Matching = tuple[Edge, ...]
 
 def ordered_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
+
+
+_ID_TABLE: list[int] = []
+_ID_LOCK = Lock()
+
+
+def _ids(n: int) -> list[int]:
+    """The process-wide id table, grown to at least ``n`` entries: entry
+    ``k`` is the one int object that stands for vertex id ``k`` in every
+    graph, matching and quotient the builders make. It grows under a lock
+    and is never shrunk or reordered, so an entry read once stays valid;
+    it may be longer than ``n``, and callers only read it. It retains
+    about 40 bytes per id (a pointer and an int) up to the largest id any
+    graph has named."""
+    if len(_ID_TABLE) < n:
+        with _ID_LOCK:
+            _ID_TABLE.extend(range(len(_ID_TABLE), n))
+    return _ID_TABLE
 
 
 def _not_an_id(u, v) -> ValueError:
@@ -72,14 +91,16 @@ class Graph:
     ``contract_matching`` and the projective, polarity and ``random_regular``
     generators build such rows directly, checked by ``oracle.validate_graph``
     in tests. Those builders and :func:`read_edge_list` fill the rows from
-    one int object per vertex id, so a row entry costs a pointer and not a
-    32-byte int of its own; :func:`from_edge_list` keeps the id objects it
-    is given. Derived facts (``m``, ``degree_profile``, ``triangles`` and
-    the private row masks) are computed on first use and cached on the
-    graph. The masks exist only while ``n**2 <= 128 * m``: past that the
-    masks (``n`` bits a row) would outweigh the rows' pointers (64 bits a
-    neighbor), so the bound is a fact about the graph's size, and nothing
-    sets it.
+    the process-wide id table (:func:`_ids`): one int object per vertex id,
+    shared by every graph, matching and quotient, so a row entry costs a
+    pointer and not a 32-byte int of its own. The table grows under a lock
+    and keeps about 40 bytes per id up to the largest id any graph has
+    named; :func:`from_edge_list` keeps the id objects it is given. Derived
+    facts (``m``, ``degree_profile``, ``triangles`` and the private row
+    masks) are computed on first use and cached on the graph. The masks
+    exist only while ``n**2 <= 128 * m``: past that the masks (``n`` bits
+    a row) would outweigh the rows' pointers (64 bits a neighbor), so the
+    bound is a fact about the graph's size, and nothing sets it.
     """
 
     n: int
@@ -147,7 +168,8 @@ def _set_triangles(adjacency: tuple[tuple[int, ...], ...]) -> tuple[Triangle, ..
     degrees (small cached ints), so no rank is computed per vertex. Each
     vertex keeps the tuple of its later neighbors, and every triangle is
     reported from its first vertex in that order, so no deduplication pass
-    is needed, and the listing takes O(m^1.5) time.
+    is needed, and the listing takes O(m^1.5) time. Each first vertex is
+    read from the id table (:func:`_ids`), as the others are from the rows.
     """
     deg = [len(row) for row in adjacency]
     forward = [
@@ -155,7 +177,7 @@ def _set_triangles(adjacency: tuple[tuple[int, ...], ...]) -> tuple[Triangle, ..
         for v, (row, d) in enumerate(zip(adjacency, deg))
     ]
     triangles: list[Triangle] = []
-    for u, fu in enumerate(forward):
+    for u, fu in zip(_ids(len(forward)), forward):
         if len(fu) < 2:  # u is the first vertex of its triangles
             continue
         later = set(fu)
@@ -173,12 +195,13 @@ def _mask_triangles(
     """For each edge ``u < v``, the common neighbors ``w > v`` are the set
     bits of ``(masks[u] & masks[v]) >> (v + 1)``, one AND per edge and one
     bit extraction per triangle. ``u``, ``v`` and then ``w`` ascend, so
-    the triangles come out sorted. Each ``w`` is read from one list of
-    the ids, so the triangles share one int object per vertex."""
-    ids = list(range(len(adjacency)))
+    the triangles come out sorted. Each ``u`` and ``w`` is read from the
+    id table (:func:`_ids`), so the triangles share one int object per
+    vertex."""
+    ids = _ids(len(adjacency))
     triangles: list[Triangle] = []
     append = triangles.append
-    for u, (row, mu) in enumerate(zip(adjacency, masks)):
+    for u, row, mu in zip(ids, adjacency, masks):
         if len(row) < 2:  # u is in no triangle
             continue
         for v in row[bisect_right(row, u):]:
@@ -249,7 +272,7 @@ def _induce_by_sets(
     """The rows induced on ``chosen`` (sorted, in range, the elements of
     ``members``), renumbered: each kept row is its set intersection with
     the sample, met in C."""
-    get = dict(zip(chosen, range(len(chosen)))).__getitem__
+    get = dict(zip(chosen, _ids(len(chosen)))).__getitem__
     meet = members.intersection
     return tuple([tuple(map(get, sorted(meet(adjacency[old])))) for old in chosen])
 
@@ -258,7 +281,7 @@ def _induce_by_masks(masks: tuple[int, ...], chosen: list[int]) -> tuple[tuple[i
     """The rows induced on ``chosen`` (sorted, distinct, in range),
     renumbered: each kept row is its mask ANDed with the sample's, read
     off from the lowest bit up, so each row comes out sorted."""
-    get = dict(zip(chosen, range(len(chosen)))).__getitem__
+    get = dict(zip(chosen, _ids(len(chosen)))).__getitem__
     sample = sum(map(lshift, repeat(1, len(chosen)), chosen))
     rows = []
     for old in chosen:
@@ -376,18 +399,30 @@ def edge_line_columns(
     return us, vs, bad_lines
 
 
-def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[int]]:
-    """The vertex count and the two endpoint columns of an edge-list file.
-    One pass over the lines, streamed: a path is opened with universal
-    newlines, and an IO source is iterated as given, so neither the text
-    nor a list of its lines is ever held. The header is the first line
-    that is not blank; :func:`edge_line_columns` reads the rest, and errors
-    name the original line. Checked in order: header, line count, the
-    first edge line that is not two integers."""
+def read_edge_list(source: str | Path | IO[str]) -> Graph:
+    """Parse an edge-list file straight into adjacency rows, in one pass
+    over its lines: a path is opened with universal newlines, and an IO
+    source is iterated as given, so neither the text, a list of its lines
+    nor a column of its ids is ever held.
+
+    The header is the first line that is not blank. Checked in order, each
+    naming the original line: the header, the count of edge lines, the
+    first edge line that is not two integers, a negative vertex count, and
+    the first pair that :func:`from_edge_list` rejects (a self-loop or an
+    id outside ``[0, n)``), with its messages. Rows stop growing at the
+    first rejected line; the rest of the file is only counted.
+
+    The row list grows only to the largest id of a valid line, and every
+    vertex past it shares the empty tuple, so a huge edgeless header costs
+    one pointer per vertex. Rows hold the id table's objects
+    (:func:`_ids`), grown as far as the rows, so no parsed int outlives
+    its line.
+    """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
-        for lineno, line in enumerate(text, 1):
-            if tokens := line.split():
+        lines = enumerate(map(str.split, text), 1)
+        for lineno, tokens in lines:
+            if tokens:
                 try:
                     n, m = map(int, tokens)  # exactly two tokens
                 except ValueError as exc:
@@ -395,28 +430,49 @@ def _edge_columns(source: str | Path | IO[str]) -> tuple[int, list[int], list[in
                 break
         else:
             raise ValueError("empty edge-list file")
-        us, vs, bad_lines = edge_line_columns(text, lineno + 1)
-    found = len(us) + len(bad_lines)
+        rows: list = []
+        found = 0
+        bad_line = bad_pair = None
+        for lineno, tokens in lines:
+            if not tokens:
+                continue
+            found += 1
+            try:
+                u, v = tokens
+                u, v = int(u), int(v)
+            except ValueError:
+                bad_line = lineno
+                break
+            if u == v:
+                bad_pair = f"self-loop at vertex {u}"
+                break
+            if not (0 <= u < n and 0 <= v < n):
+                bad_pair = f"edge ({u}, {v}) out of range for n={n}"
+                break
+            if u >= len(rows) or v >= len(rows):
+                rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
+                ids = _ids(len(rows))
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        for lineno, tokens in lines:  # past a rejected line
+            if not tokens:
+                continue
+            found += 1
+            if bad_line is None:
+                try:
+                    u, v = tokens
+                    int(u), int(v)
+                except ValueError:
+                    bad_line = lineno
     if found != m:
         raise ValueError(f"expected {m} edge lines, found {found}")
-    if bad_lines:
-        raise ValueError(f"line {bad_lines[0]}: expected two integers")
-    return n, us, vs
-
-
-def read_edge_list(source: str | Path | IO[str]) -> Graph:
-    """Parse an edge-list file into two endpoint columns, then build the
-    graph from their pairs. The line checks of the parse come first, then
-    :func:`from_edge_list`'s checks.
-
-    Each parsed id is its own int object. When every id lies in ``[0, n)``,
-    both columns are mapped onto one shared object per vertex id before
-    the build, so the graph's rows hold ``n`` ids and not one per edge end;
-    other files reach :func:`from_edge_list` as parsed, for its messages.
-    """
-    n, us, vs = _edge_columns(source)
-    if us and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n:
-        get = list(range(n)).__getitem__
-        us = list(map(get, us))
-        vs = list(map(get, vs))
-    return from_edge_list(n, zip(us, vs))
+    if bad_line is not None:
+        raise ValueError(f"line {bad_line}: expected two integers")
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if bad_pair is not None:
+        raise ValueError(bad_pair)
+    for v, row in enumerate(rows):
+        rows[v] = tuple(sorted(set(row)))
+    # a tuple plus () is that tuple, not a copy
+    return Graph(n, tuple(rows) + ((),) * (n - len(rows)))

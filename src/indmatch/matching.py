@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, Matching, _present_edges, _vertex_ids
+from .graph import Edge, Graph, Matching, _ids, _present_edges, _vertex_ids
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,11 @@ def greedy_matching(g: Graph) -> Matching:
     neighbor above u. Equal to keeping each edge of ``sorted(g.edges())``
     whose ends are both free. Maximal, so it has at least
     ``m / (2 * max_degree - 1)`` edges, but it can fall short of
-    ``m / (max_degree + 1)``."""
+    ``m / (max_degree + 1)``. Each ``u`` is read from the id table
+    (:func:`~indmatch.graph._ids`) and each ``v`` from ``u``'s row."""
     free = [True] * g.n
     chosen: list[Edge] = []
-    for u, row in enumerate(g.adjacency):
+    for u, row in zip(_ids(g.n), g.adjacency):
         if free[u]:
             for v in row:
                 if v > u and free[v]:
@@ -173,13 +174,15 @@ def contract_matching(g: Graph, matching) -> ContractedGraph:
     (:func:`~indmatch.graph._present_edges`), and so do two edges sharing
     an endpoint, but only once every edge has passed the first two checks.
     The overlap check fills a flat owner list: entry ``v`` is the index of
-    the edge at endpoint ``v``, and ``-1`` at every unmatched host vertex.
+    the edge at endpoint ``v``, read from the id table
+    (:func:`~indmatch.graph._ids`), and ``-1`` at every unmatched host
+    vertex.
     The row of vertex ``idx`` is the sorted set of owners of the host
     neighbors of either endpoint of ``rep[idx]``, minus ``idx`` and ``-1``.
     """
     edges = _present_edges(g, matching)
     owner = [-1] * g.n
-    for idx, (u, v) in enumerate(edges):
+    for idx, (u, v) in zip(_ids(len(edges)), edges):
         if owner[u] >= 0 or owner[v] >= 0:
             raise ValueError("edges do not form a matching")
         owner[u] = owner[v] = idx

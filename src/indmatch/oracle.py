@@ -213,9 +213,10 @@ def from_edge_list_bf(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
     """Whole-text twin of :func:`indmatch.graph.read_edge_list`: reads the
-    text at once (``read_text`` on a path), splits it at each LF and builds
-    the graph from the parsed ids as they are. Same checks in the same
-    order, with the same messages."""
+    text at once (``read_text`` on a path), splits it at each LF, parses
+    every line into two id columns and builds the graph from their pairs
+    with :func:`from_edge_list_bf`. Same checks in the same order, with the
+    same messages."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
@@ -249,7 +250,7 @@ def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
         raise ValueError(f"expected {m} edge lines, found {found}")
     if bad_lines:
         raise ValueError(f"line {bad_lines[0]}: expected two integers")
-    return from_edge_list(n, zip(us, vs))
+    return from_edge_list_bf(n, zip(us, vs))
 
 
 def canonical_matching_bf(edges: Iterable[tuple[int, int]]) -> Matching:

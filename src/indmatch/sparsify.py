@@ -18,8 +18,9 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import log, log1p
+from numbers import Real
 
-from .graph import Graph, VertexSet, _vertex_ids, enumerate_triangles, induced_subgraph
+from .graph import Graph, VertexSet, _ids, _vertex_ids, enumerate_triangles, induced_subgraph
 from .seeds import mix64
 
 DEFAULT_DEGREE_CUTOFF = 16
@@ -70,8 +71,7 @@ def triangle_budget(n_contracted: int, d_contracted: int, epsilon: float) -> flo
     ``epsilon > 2``, where that power is undefined."""
     if n_contracted < 0 or d_contracted < 0:
         raise ValueError("sizes must be nonnegative")
-    if not 0 < epsilon < 3:
-        raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
+    _check_epsilon(epsilon)
     if d_contracted == 0 and epsilon > 2:
         return 0.0  # no edges, so no triangles
     return n_contracted * float(d_contracted) ** (2 - epsilon)
@@ -85,11 +85,20 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_run_limits(epsilon: float, degree_cutoff: int, max_retries: int) -> None:
-    """Reject an ``epsilon`` outside (0, 3), a degree cutoff that is not an
-    integer >= 0 and a retry count that is not one >= 1, in that order."""
+def _check_epsilon(epsilon) -> None:
+    """Reject an ``epsilon`` that is not a real number (a string is not
+    converted) or lies outside (0, 3), with a ``ValueError`` naming it."""
+    if not isinstance(epsilon, Real):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0 < epsilon < 3:
         raise ValueError(f"epsilon must be in (0, 3), got {epsilon}")
+
+
+def check_run_limits(epsilon: float, degree_cutoff: int, max_retries: int) -> None:
+    """Reject an ``epsilon`` that is not a real in (0, 3), a degree cutoff
+    that is not an integer >= 0 and a retry count that is not one >= 1, in
+    that order."""
+    _check_epsilon(epsilon)
     if _integer("degree cutoff", degree_cutoff) < 0:
         raise ValueError(f"degree cutoff must be >= 0, got {degree_cutoff}")
     if _integer("max retries", max_retries) < 1:
@@ -172,10 +181,10 @@ def triangle_free_independent_set(g: Graph, removed: VertexSet = frozenset()) ->
         raise ValueError("input graph contains a triangle")
     # one heap of ids per degree; a live vertex's current entry is the one in
     # heaps[deg[v]], since degrees only fall. Ids enter in ascending order,
-    # so each list starts out as a heap.
+    # so each list starts out as a heap. They are the id table's objects.
     heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
-        if alive[v]:
+    for v, live in zip(_ids(n), alive):
+        if live:
             heaps[deg[v]].append(v)
     chosen = []
     d = 0  # no live vertex has degree below d

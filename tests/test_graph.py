@@ -1,8 +1,11 @@
 import gc
 import io
+import operator
 import sys
+import threading
 import tracemalloc
-from itertools import combinations
+from concurrent.futures import ThreadPoolExecutor
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from indmatch import (
 )
 from indmatch.graph import (
     Graph,
+    _ids,
     _induce_by_masks,
     _induce_by_sets,
     _mask_triangles,
@@ -113,6 +117,16 @@ def _traced_bytes(build):
     return peak, retained, result
 
 
+def _rows_and_ids_bytes(g):
+    """``sys.getsizeof`` summed over ``g``'s row tuple, its distinct rows
+    and the distinct id objects they reference: what a builder that made
+    its own ids would retain, whether or not the id table held them
+    already."""
+    rows = g.adjacency
+    objects = {id(x): x for x in (rows, *rows, *chain.from_iterable(rows))}
+    return sum(map(sys.getsizeof, objects.values()))
+
+
 def test_graph_building_peaks_near_the_retained_size(tmp_path):
     g = random_regular(20000, 4, 1)
     path = tmp_path / "g.txt"
@@ -143,10 +157,9 @@ def test_triangle_listing_peaks_below_the_quotient_size():
     # the order reads a list of degrees, not one rank int per vertex, and
     # the forward rows are tuples
     g = random_regular(20000, 4, 1)
-    matching = greedy_matching(g)
-    _, quotient_bytes, contracted = _traced_bytes(lambda: contract_matching(g, matching))
-    q = contracted.graph
+    q = contract_matching(g, greedy_matching(g)).graph
     assert q._row_masks is None  # n**2 > 128 * m: the set kernel lists it
+    quotient_bytes = _rows_and_ids_bytes(q)
     peak, _, _ = _traced_bytes(lambda: Graph.triangles.func(q))
     assert peak <= 0.8 * quotient_bytes, (peak, quotient_bytes)
 
@@ -179,10 +192,13 @@ def test_pull_back_reads_a_frozenset_uncopied():
 
 
 def test_random_regular_peaks_near_the_retained_size():
-    # the pairs go straight into the rows: no edge set is held beside them
-    peak, retained, g = _traced_bytes(lambda: random_regular(20000, 4, 1))
+    # the pairs go straight into the rows: no edge set is held beside them;
+    # the table holds the ids before the window, whatever ran earlier
+    _ids(20000)
+    peak, _, g = _traced_bytes(lambda: random_regular(20000, 4, 1))
     assert g.degree_profile == (4, 4, True)
-    assert peak <= 1.6 * retained, (peak, retained)
+    graph_bytes = _rows_and_ids_bytes(g)
+    assert peak <= 1.6 * graph_bytes, (peak, graph_bytes)
 
 
 def _reread(g):
@@ -574,6 +590,10 @@ def test_edge_list_reader_matches_whole_text_twin(edge_list_dir, data):
     n = data.draw(st.integers(-1, 2) | st.integers(3, 12))
     vertex = st.builds(_spelled, st.integers(0, max(n - 1, 0)), _prefix)
     lines = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    if lines:  # duplicate some lines, as written or reversed
+        for u, v in data.draw(st.lists(st.sampled_from(lines), max_size=3)):
+            pair = data.draw(st.sampled_from([(u, v), (v, u)]))
+            lines.insert(data.draw(st.integers(0, len(lines))), pair)
     if data.draw(st.booleans()):
         for line in data.draw(st.lists(_odd_line, min_size=1, max_size=2)):
             lines.insert(data.draw(st.integers(0, len(lines))), line)
@@ -602,6 +622,79 @@ def test_edge_list_reader_matches_whole_text_twin(edge_list_dir, data):
     assert outcome(read_edge_list, str(path)) == outcome(read_edge_list_bf, path)
     stream = outcome(read_edge_list, io.StringIO(text))
     assert stream == outcome(read_edge_list_bf, io.StringIO(text))
+
+
+def test_edgeless_header_costs_a_pointer_per_vertex():
+    # no row is built for a vertex no line names: every row is the shared
+    # (), so the adjacency tuple is the whole cost (measured: 8.0013 B)
+    n = 10**6
+    peak, _, g = _traced_bytes(lambda: read_edge_list(io.StringIO(f"{n} 0\n")))
+    assert (g.n, g.m) == (n, 0)
+    assert set(map(id, g.adjacency)) == {id(())}
+    assert peak <= 8.01 * n, peak / n
+
+
+def test_reader_rows_grow_only_to_the_largest_id_named():
+    table = _ids(0)
+    top = len(table) + 50  # an id the table does not hold yet
+    g = read_edge_list(io.StringIO(f"{top + 10**6} 1\n{top} 3\n"))
+    assert g.adjacency[top] == (3,) and g.adjacency[3] == (top,)
+    assert set(map(id, g.adjacency[top + 1 :])) == {id(())}
+    assert len(table) == top + 1
+    # a rejected line stops the rows, and the table, where they are
+    with pytest.raises(ValueError, match="line 3: expected two integers"):
+        read_edge_list(io.StringIO(f"{top + 10**6} 2\n{top + 9} 0\n0 x\n"))
+    with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range"):
+        read_edge_list(io.StringIO(f"{top + 10**6} 2\n0 -1\n{top + 9} 0\n"))
+    assert len(table) == top + 10
+
+
+def test_rereading_a_file_retains_no_int_objects(tmp_path):
+    # a cycle on ids the table does not hold yet: the first read adds them
+    # to the table, and the second holds the same objects in new rows
+    base = len(_ids(0))
+    k = 2000
+    path = tmp_path / "cycle.txt"
+    path.write_text(
+        f"{base + k} {k}\n" + "".join(f"{base + i} {base + (i + 1) % k}\n" for i in range(k)),
+        encoding="utf-8",
+    )
+    _, first_bytes, first = _traced_bytes(lambda: read_edge_list(path))
+    new_ids = _ids(0)[base : base + k]
+    _, second_bytes, second = _traced_bytes(lambda: read_edge_list(path))
+    assert second == first
+    assert all(map(operator.is_, chain(*second.adjacency), chain(*first.adjacency)))
+    id_bytes = sum(map(sys.getsizeof, new_ids))
+    rows = second.adjacency
+    row_bytes = sum(map(sys.getsizeof, {id(x): x for x in (rows, *rows)}.values()))
+    assert first_bytes - second_bytes >= id_bytes, (first_bytes, second_bytes, id_bytes)
+    # beyond its rows the second read keeps only the graph object itself
+    assert second_bytes - row_bytes < 0.25 * id_bytes, (second_bytes, row_bytes)
+
+
+def test_id_table_grows_safely_from_many_threads():
+    base = len(_ids(0))
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def grow(worker):
+        barrier.wait()
+        for step in range(1, 1001):
+            if len(_ids(base + 10 * step + worker)) < base + 10 * step + worker:
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            assert all(pool.map(grow, range(workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    table = _ids(0)
+    assert len(table) == base + 10 * 1000 + workers - 1
+    assert table == list(range(len(table)))
+    assert set(map(type, table)) == {int}
 
 
 def test_edge_list_reader_keeps_one_id_object_per_vertex(tmp_path):

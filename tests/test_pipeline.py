@@ -3,6 +3,7 @@ import hashlib
 import math
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,14 +23,22 @@ from indmatch import (
     prepare_pipeline,
     projective_incidence_graph,
     random_regular,
+    read_edge_list,
     run_prepared,
     triangle_budget,
+    write_edge_list,
 )
 from indmatch import pipeline, sparsify
+from indmatch.graph import _ids, induced_subgraph
 from indmatch.oracle import max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.seeds import mix64
-from indmatch.sparsify import RetriesExhausted, TriangleBudgetExceeded
+from indmatch.sparsify import (
+    RetriesExhausted,
+    TriangleBudgetExceeded,
+    break_triangles,
+    triangle_free_independent_set,
+)
 
 from conftest import graphs, regular_corpus, subprocess_env
 
@@ -156,12 +165,41 @@ def test_config_validation():
         {"max_retries": 2.5, "degree_cutoff": 0},
         {"degree_cutoff": 16.0},
         {"B": 3.0},
+        # an epsilon that is not a real number: a string is not converted
+        {"epsilon": "0.5"},
+        {"epsilon": 1 + 0j},
     ):
         with pytest.raises(ValueError):
             PipelineConfig(**bad)
     assert PipelineConfig(max_retries=1, degree_cutoff=0).max_retries == 1
     assert PipelineConfig(B=4).effective_epsilon() == pytest.approx(1 / 8)
     assert PipelineConfig(B=2, epsilon=1.0).effective_epsilon() == 1.0
+
+
+@pytest.mark.parametrize("cutoff", [16, 0], ids=["bypass", "sampled"])
+def test_every_id_is_the_id_table_object(tmp_path, cutoff):
+    # the host rows, the matching, the quotient (rows and triangles), an
+    # induced sample, the greedy independent set and the result hold one
+    # object per id: the table's
+    path = tmp_path / "g.txt"
+    write_edge_list(random_regular(3000, 4, 5), path)
+    host = read_edge_list(path)
+    prep = prepare_pipeline(host, PipelineConfig(degree_cutoff=cutoff))
+    result = run_prepared(prep, 2)
+    assert result.certificate and result.stats.bypassed == (cutoff == 16)
+    quotient = prep.contracted.graph
+    sample, _ = induced_subgraph(quotient, range(0, quotient.n, 2))
+    table = _ids(0)
+    for ids in (
+        chain.from_iterable(host.adjacency),
+        chain.from_iterable(prep.matching),
+        chain.from_iterable(quotient.adjacency),
+        chain.from_iterable(quotient.triangles),
+        chain.from_iterable(sample.adjacency),
+        triangle_free_independent_set(quotient, break_triangles(quotient)),
+        chain.from_iterable(result.matching),
+    ):
+        assert all(x is table[x] for x in ids)
 
 
 def test_the_seed_is_not_a_config_field():

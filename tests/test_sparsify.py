@@ -63,7 +63,7 @@ def test_attempt_trail_follows_the_paper_formulas():
 
 
 def test_params_validation(petersen):
-    for eps in (3.5, 3.0, 0.0, -1.0):
+    for eps in (3.5, 3.0, 0.0, -1.0, "0.5", 1 + 0j):
         with pytest.raises(ValueError, match="epsilon"):
             sparsify_independent_set(petersen, eps)
     for bad in (
