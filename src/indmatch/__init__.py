@@ -51,7 +51,6 @@ from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
     PipelineConfig,
-    PipelineStats,
     greedy_induced_matching,
     induced_matching,
     prepare_pipeline,
@@ -94,7 +93,6 @@ __all__ = [
     "RetriesExhausted",
     "TriangleBudgetExceeded",
     "PipelineConfig",
-    "PipelineStats",
     "InducedMatchingResult",
     "EmptyMatchingError",
     "induced_matching",

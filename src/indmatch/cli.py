@@ -23,6 +23,7 @@ from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
     PipelineConfig,
+    PreparedPipeline,
     prepare_pipeline,
     run_prepared,
 )
@@ -52,26 +53,20 @@ CSV_HEADER = (
 )
 
 
-def _fmt_ratio(ratio: float | None) -> str:
-    return "" if ratio is None else f"{ratio:.6f}"
-
-
 def _stats_row(
-    family: str,
-    param: str,
-    n: int,
-    d: int,
-    seed: int,
-    result: InducedMatchingResult | None,
-    status: str,
+    family: str, param: str, seed: int, status: str,
+    prep: PreparedPipeline | None, result: InducedMatchingResult | None,
 ) -> str:
+    """One CSV row: n and d are the host's, 0 when preparation failed; the
+    stats columns are blank without a result, whose ``prepared`` is ``prep``."""
+    n, d = (prep.graph.n, prep.graph.degree_profile[1]) if prep is not None else (0, 0)
     if result is None:
         return f"{family},{param},{n},{d},,,,,,,,{seed},{status}"
-    s = result.stats
+    ratio = "" if result.ratio is None else f"{result.ratio:.6f}"
     return (
-        f"{family},{param},{n},{d},{s.match_size},{s.contracted_n},"
-        f"{s.contracted_triangles},{s.budget:.3f},{s.attempts},{result.size},"
-        f"{_fmt_ratio(s.ratio)},{seed},{status}"
+        f"{family},{param},{n},{d},{prep.match_size},{prep.contracted_n},"
+        f"{prep.contracted_triangles},{prep.budget:.3f},{result.found.attempts},"
+        f"{result.size},{ratio},{seed},{status}"
     )
 
 
@@ -125,10 +120,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # write the certificate before printing, so a failed write prints nothing
     if args.out:
         Path(args.out).write_text(edge_lines, encoding="utf-8")
-    _, dmax, _ = graph.degree_profile
     status = "ok" if result.certificate else "invalid"
     print(edge_lines + CSV_HEADER)
-    print(_stats_row("file", "", graph.n, dmax, args.seed, result, status))
+    print(_stats_row("file", "", args.seed, status, prep, result))
     print(f"# wall_seconds={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK if result.certificate else EXIT_INVALID
 
@@ -179,9 +173,7 @@ def _sweep(
         for trial in range(args.trials):
             seed = mix64(args.seed, args.family, param, trial)
             result = None
-            n = dmax = 0  # the rows of a failed preparation carry n = d = 0
             if prep is not None:
-                n, dmax = prep.graph.n, prep.graph.degree_profile[1]
                 start = time.monotonic()
                 try:
                     result = run_prepared(prep, seed)
@@ -195,9 +187,9 @@ def _sweep(
                 )
             if status == "ok":
                 ok += 1
-                if result.stats.ratio is not None:
-                    ratios.append(result.stats.ratio)
-            rows.append(_stats_row(args.family, str(param), n, dmax, seed, result, status))
+                if result.ratio is not None:
+                    ratios.append(result.ratio)
+            rows.append(_stats_row(args.family, str(param), seed, status, prep, result))
         sweep_ratios.extend(ratios)
         low, mid = (f"{min(ratios):.6f}", f"{statistics.median(ratios):.6f}") if ratios else ("", "")
         summaries.append(

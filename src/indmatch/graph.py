@@ -113,11 +113,9 @@ class Graph:
     @cached_property
     def degree_profile(self) -> tuple[int, int, bool]:
         """``(min_degree, max_degree, is_regular)``; ``(0, 0, True)`` for
-        the empty graph."""
-        if self.n == 0:
-            return (0, 0, True)
-        degs = [len(nbrs) for nbrs in self.adjacency]
-        lo, hi = min(degs), max(degs)
+        the empty graph. No list of degrees is built."""
+        lo = min(map(len, self.adjacency), default=0)
+        hi = max(map(len, self.adjacency), default=0)
         return (lo, hi, lo == hi)
 
     @cached_property
@@ -219,13 +217,13 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate pairs (in either orientation) collapse to one edge. Self-loops,
     out-of-range endpoints and ids that are not integers (``operator.index``
     rejects floats and strings) raise ``ValueError``, for the first bad
-    pair in order. Neighbors collect in one list per vertex, and each list
-    is replaced in place by its sorted, deduplicated row, so the buffers
-    and the finished rows never coexist in full.
+    pair in order. Neighbors collect in one list per vertex up to the
+    largest id a pair names, and every vertex past it shares the empty
+    tuple (:func:`_finished_graph`); the rows hold the id objects given.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    rows: list = [[] for _ in range(n)]
+    rows: list = []
     for u, v in edges:
         try:
             u, v = index(u), index(v)
@@ -235,11 +233,21 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u >= len(rows) or v >= len(rows):
+            rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
         rows[u].append(v)
         rows[v].append(u)
+    return _finished_graph(n, rows)
+
+
+def _finished_graph(n: int, rows: list) -> Graph:
+    """The ``n``-vertex graph of neighbor lists ``rows``, each replaced in
+    place by its sorted, deduplicated tuple, so lists and tuples never
+    coexist in full; each vertex past ``rows`` shares the empty tuple."""
     for v, row in enumerate(rows):
         rows[v] = tuple(sorted(set(row)))
-    return Graph(n, tuple(rows))
+    # a tuple plus () is that tuple, not a copy
+    return Graph(n, tuple(rows) + ((),) * (n - len(rows)))
 
 
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
@@ -412,11 +420,10 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
     id outside ``[0, n)``), with its messages. Rows stop growing at the
     first rejected line; the rest of the file is only counted.
 
-    The row list grows only to the largest id of a valid line, and every
-    vertex past it shares the empty tuple, so a huge edgeless header costs
-    one pointer per vertex. Rows hold the id table's objects
-    (:func:`_ids`), grown as far as the rows, so no parsed int outlives
-    its line.
+    Rows grow only to the largest id of a valid line
+    (:func:`_finished_graph`), so a huge edgeless header costs one pointer
+    per vertex, and hold the id table's objects (:func:`_ids`), so no
+    parsed int outlives its line.
     """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
@@ -472,7 +479,4 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if bad_pair is not None:
         raise ValueError(bad_pair)
-    for v, row in enumerate(rows):
-        rows[v] = tuple(sorted(set(row)))
-    # a tuple plus () is that tuple, not a copy
-    return Graph(n, tuple(rows) + ((),) * (n - len(rows)))
+    return _finished_graph(n, rows)

@@ -26,6 +26,7 @@ from .matching import (
 from .sparsify import (
     DEFAULT_DEGREE_CUTOFF,
     DEFAULT_MAX_RETRIES,
+    IndependentSetResult,
     TriangleBudgetExceeded,
     _integer,
     check_run_limits,
@@ -57,6 +58,11 @@ class PipelineConfig:
     triangles against a budget of ``n * d**(2 - epsilon)``, so it can fire
     only when ``d**epsilon > 6``, that is ``d > 6**(2B)`` (1296 at B=2).
     A per-vertex check that can fire is ROADMAP's "hypothesis check" item.
+
+    A graph of max codegree t is K_{2,t+1}-free, so by Kővári–Sós–Turán
+    B=2 claims for it the s=2 exponent with a t-dependent constant. The
+    random-regular benchmark graphs hold C4: codegree 4 at (n, d) =
+    (10**4, 20), 5 at (2 * 10**4, 40), 2 on the sparse-file graph.
     """
 
     B: int = 2
@@ -71,29 +77,6 @@ class PipelineConfig:
 
     def effective_epsilon(self) -> float:
         return self.epsilon if self.epsilon is not None else 1 / (2 * self.B)
-
-
-@dataclass(frozen=True)
-class PipelineStats:
-    match_size: int  # the prepared matching: >= m/(Δ+1) edges
-    contracted_n: int
-    contracted_max_degree: int
-    contracted_triangles: int
-    budget: float
-    attempts: int
-    ratio: float | None  # size / ((n/d) * ln d), natural log; None when d < 2
-    bypassed: bool
-
-
-@dataclass(frozen=True)
-class InducedMatchingResult:
-    matching: Matching
-    certificate: bool
-    stats: PipelineStats
-
-    @property
-    def size(self) -> int:
-        return len(self.matching)
 
 
 @dataclass(frozen=True)
@@ -122,6 +105,14 @@ class PreparedPipeline:
         return self.contracted.rep
 
     @property
+    def match_size(self) -> int:  # >= m/(Δ+1) edges
+        return len(self.matching)
+
+    @property
+    def contracted_n(self) -> int:
+        return self.contracted.graph.n
+
+    @property
     def contracted_max_degree(self) -> int:
         return self.contracted.graph.degree_profile[1]
 
@@ -140,9 +131,36 @@ class PreparedPipeline:
         return len(self.contracted.graph.triangles)
 
 
+@dataclass(frozen=True)
+class InducedMatchingResult:
+    """One seeded run: the pulled-back ``matching``, its ``certificate``,
+    and what it was built from, held and not copied: the ``prepared``
+    pipeline and the independent set ``found`` on its contraction."""
+
+    matching: Matching
+    certificate: bool
+    prepared: PreparedPipeline
+    found: IndependentSetResult
+
+    @property
+    def size(self) -> int:
+        return len(self.matching)
+
+    @property
+    def ratio(self) -> float | None:
+        """``size / ((n/d) * ln d)`` on the host; ``None`` when d < 2."""
+        host = self.prepared.graph
+        d = host.degree_profile[1]
+        return None if d < 2 else self.size / ((host.n / d) * math.log(d))
+
+    @property
+    def stats(self) -> PreparedPipeline:
+        # only for perfbench/spans.py::_run_tags, until ROADMAP item 1
+        # retargets that reader to ``prepared``; then delete it
+        return self.prepared
+
+
 def prepare_pipeline(graph: Graph, config: PipelineConfig) -> PreparedPipeline:
-    if graph.n == 0:
-        raise ValueError("input graph has no vertices")
     _, dmax, _ = graph.degree_profile
     if dmax == 0:
         raise EmptyMatchingError("input graph has no edges; empty matching")
@@ -182,8 +200,9 @@ def greedy_induced_matching(graph: Graph) -> Matching:
 
 
 def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
-    """Seeded stage: sparsify the contraction, pull back, certify.
-    ``RetriesExhausted`` propagates with its attempt trail."""
+    """Seeded stage: sparsify the contraction, pull back, certify; the
+    result holds ``prep`` and the found independent set. ``RetriesExhausted``
+    propagates with its attempt trail."""
     config = prep.config
     found = sparsify_independent_set(
         prep.contracted.graph,
@@ -194,21 +213,7 @@ def run_prepared(prep: PreparedPipeline, seed: int) -> InducedMatchingResult:
     )
     matching = pull_back_matching(prep.contracted, found.vertices)
     certificate = is_induced_matching(prep.graph, matching)
-    _, dmax, _ = prep.graph.degree_profile
-    ratio = None
-    if dmax >= 2:
-        ratio = len(matching) / ((prep.graph.n / dmax) * math.log(dmax))
-    stats = PipelineStats(
-        match_size=len(prep.matching),
-        contracted_n=prep.contracted.graph.n,
-        contracted_max_degree=prep.contracted_max_degree,
-        contracted_triangles=prep.contracted_triangles,
-        budget=prep.budget,
-        attempts=found.attempts,
-        ratio=ratio,
-        bypassed=found.bypassed,
-    )
-    return InducedMatchingResult(matching=matching, certificate=certificate, stats=stats)
+    return InducedMatchingResult(matching, certificate, prep, found)
 
 
 def induced_matching(

@@ -202,7 +202,7 @@ def test_criterion_4_threshold_statistics():
             total_attempts += 50
             continue
         successes += 1
-        total_attempts += result.stats.attempts
+        total_attempts += result.found.attempts
         assert result.certificate is True
     pass_rate = successes / total_attempts
     elapsed = time.monotonic() - start
@@ -259,7 +259,7 @@ def test_criterion_6_scaling_law():
             seed = mix64(SCALING_MASTER_SEED, "projective", q, t)
             result = run_prepared(prep, seed)
             assert result.certificate is True
-            out.append(result.stats.ratio)
+            out.append(result.ratio)
         return out
 
     calibration = ratios_for(3, 50)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -72,6 +73,21 @@ def test_run_edgeless(tmp_path):
     code, _, err = run_cli("run", str(path))
     assert code == 3
     assert "empty matching" in err
+
+
+def test_zero_vertices_is_an_empty_matching(tmp_path):
+    # the 0-vertex graph is edgeless, so it fails like any edgeless graph
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0\n")
+    assert run_cli("run", str(path)) == (3, "", "error: input graph has no edges; empty matching\n")
+    code, out, err = run_cli(
+        "experiment", "--family", "random-regular", "--q", "0,4", "--d", "0", "--trials", "1"
+    )
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
+    assert [row[:4] for row in rows] == [["random-regular", q, "0", "0"] for q in "04"]
+    # blank stats columns, from match_size through ratio_ln
+    assert [(row[4:11], row[-1]) for row in rows] == [([""] * 7, "empty-matching")] * 2
 
 
 def test_run_then_verify_roundtrip(tmp_path):
@@ -167,6 +183,38 @@ def test_experiment_rows_and_summary(tmp_path):
     assert all("min_ratio=" in s and "median_ratio=" in s for s in summaries)
     assert "# summary" in out  # echoed when writing to a file
     assert "# timing" in err  # wall time goes to stderr only
+
+
+# sha256 of each sweep's --out file at seed 0: the bypass path (projective
+# q=3,5), the polarity family, the sampled path (random-regular with
+# --d0 2), and the densest contraction (projective q=31)
+FROZEN_SWEEPS = {
+    "projective-3-5": (
+        ["--family", "projective", "--q", "3,5", "--trials", "2"],
+        "ba3c0e73b9659b67bb282f904a4308b97dbb758f3e8081eb9d193ad0ea43e9f7",
+    ),
+    "polarity-3-5": (
+        ["--family", "polarity", "--q", "3,5", "--trials", "2"],
+        "c546cd5570358f904e3df27e5b7895e501e03b1438e79f3a3d5028838a4d69dc",
+    ),
+    "random-regular-sampled": (
+        ["--family", "random-regular", "--q", "200,1000", "--d", "6", "--d0", "2", "--trials", "2"],
+        "4d7c4821c7033ebe29c485c2413cda2e21067e184d3ee017e5a398850562b6bb",
+    ),
+    "projective-31": (
+        ["--family", "projective", "--q", "31", "--trials", "3"],
+        "8e9c4792d134bd1bb53f68eb89207891b4cbfb6d6870f90989d7e8b13618d5b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(FROZEN_SWEEPS))
+def test_experiment_csv_is_frozen(sweep, tmp_path):
+    flags, digest = FROZEN_SWEEPS[sweep]
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run_cli("experiment", *flags, "--out", str(out_file))
+    assert code == 0, err
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_experiment_floor_verdict():

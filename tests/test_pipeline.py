@@ -22,6 +22,7 @@ from indmatch import (
     named_fixture,
     prepare_pipeline,
     projective_incidence_graph,
+    pull_back_matching,
     random_regular,
     read_edge_list,
     run_prepared,
@@ -49,7 +50,7 @@ def test_single_edge():
     assert result.matching == ((0, 1),)
     assert result.size == 1
     assert result.certificate is True
-    assert result.stats.ratio is None  # max degree below 2
+    assert result.ratio is None  # max degree below 2
 
 
 def test_heawood_matches_oracle(heawood):
@@ -65,10 +66,26 @@ def test_projective_run_records_ratio():
     g = projective_incidence_graph(13)
     result = induced_matching(g, seed=1)
     assert result.certificate is True
-    assert result.stats.ratio is not None
-    assert result.stats.ratio >= PIPELINE_RATIO_FLOOR
-    assert result.stats.contracted_n >= math.ceil(g.n / 4)
-    assert result.stats.match_size >= math.ceil(g.n / 4)
+    assert result.ratio is not None
+    assert result.ratio >= PIPELINE_RATIO_FLOOR
+    assert result.prepared.contracted_n >= math.ceil(g.n / 4)
+    assert result.prepared.match_size >= math.ceil(g.n / 4)
+
+
+def test_the_result_holds_what_it_was_built_from():
+    for g in (projective_incidence_graph(13), random_regular(200, 6, 0)):
+        prep = prepare_pipeline(g, PipelineConfig())
+        r = run_prepared(prep, 3)
+        assert [f.name for f in dataclasses.fields(r)] == [
+            "matching", "certificate", "prepared", "found",
+        ]
+        assert r.prepared is prep
+        assert pull_back_matching(prep.contracted, r.found.vertices) == r.matching
+        _, d, _ = g.degree_profile
+        assert r.ratio == r.size / ((g.n / d) * math.log(d))
+        assert (prep.match_size, prep.contracted_n) == (len(prep.matching), prep.contracted.graph.n)
+        assert r.stats is prep  # the benchmark's alias, and nothing more
+    assert induced_matching(named_fixture("complete-2")).ratio is None
 
 
 def test_triangle_budget_examples():
@@ -96,10 +113,10 @@ def test_prepare_triangle_budget_error():
 
 
 def test_empty_matching_error():
-    with pytest.raises(EmptyMatchingError):
-        induced_matching(named_fixture("edgeless-5"))
-    with pytest.raises(ValueError):
-        induced_matching(named_fixture("edgeless-0"))
+    # the 0-vertex graph is edgeless too, and fails the same way
+    for name in ("edgeless-5", "edgeless-0"):
+        with pytest.raises(EmptyMatchingError, match="^input graph has no edges; empty matching$"):
+            induced_matching(named_fixture(name))
 
 
 def test_certificate_recheck_roundtrip(c6):
@@ -119,7 +136,7 @@ def test_budget_follows_a_replaced_config():
     expected = triangle_budget(prep.contracted.graph.n, prep.contracted_max_degree, 1.0)
     assert expected == 784.0
     assert changed.budget == expected
-    assert run_prepared(changed, 0).stats.budget == expected
+    assert run_prepared(changed, 0).prepared.budget == expected
     # the replaced config's budget is enforced when the copy is built
     with pytest.raises(TriangleBudgetExceeded) as err:
         dataclasses.replace(prep, config=PipelineConfig(epsilon=2.0))
@@ -139,7 +156,8 @@ def test_budget_is_computed_once_per_prepared_pipeline(monkeypatch):
     prep = prepare_pipeline(projective_incidence_graph(7), PipelineConfig())
     results = [run_prepared(prep, seed) for seed in range(5)]
     assert len(calls) == 1
-    assert {r.stats.budget for r in results} == {prep.budget}
+    assert {r.prepared.budget for r in results} == {prep.budget}
+    assert len(calls) == 1  # each result reads the one cached budget
 
 
 def test_determinism_byte_for_byte():
@@ -186,7 +204,7 @@ def test_every_id_is_the_id_table_object(tmp_path, cutoff):
     host = read_edge_list(path)
     prep = prepare_pipeline(host, PipelineConfig(degree_cutoff=cutoff))
     result = run_prepared(prep, 2)
-    assert result.certificate and result.stats.bypassed == (cutoff == 16)
+    assert result.certificate and result.found.bypassed == (cutoff == 16)
     quotient = prep.contracted.graph
     sample, _ = induced_subgraph(quotient, range(0, quotient.n, 2))
     table = _ids(0)
@@ -253,7 +271,7 @@ def test_soundness_and_ratio_floor_on_regular_corpus():
         assert result.certificate is True, name
         _, d, _ = g.degree_profile
         if d >= 2:
-            assert result.stats.ratio >= PIPELINE_RATIO_FLOOR, name
+            assert result.ratio >= PIPELINE_RATIO_FLOOR, name
 
 
 def test_irregular_input_flagged_but_sound():
@@ -262,7 +280,7 @@ def test_irregular_input_flagged_but_sound():
     result = induced_matching(star)
     assert result.certificate is True
     assert result.size == 1
-    assert result.stats.match_size < math.ceil(star.n / 4)
+    assert result.prepared.match_size < math.ceil(star.n / 4)
 
 
 def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
@@ -287,7 +305,7 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sparsify_independent_set", recording)
     results = [run_prepared(prep, seed) for seed in range(5)]
-    assert not any(r.stats.bypassed for r in results)  # sampled path
+    assert not any(r.found.bypassed for r in results)  # sampled path
     # each attempt enumerates its sample exactly once: breaking and the
     # greedy pass's guard read that cache. Never the quotient.
     assert len(sizes) == sum(f.attempts for f in found)
@@ -354,7 +372,7 @@ def test_tracer_patch_points_see_every_call(monkeypatch):
     assert calls == {"pipeline.enumerate_triangles": [quotient_n]}
     calls.clear()
     result = run_prepared(prep, 0)
-    assert not result.stats.bypassed
+    assert not result.found.bypassed
     assert sorted(calls) == [
         "sparsify.break_triangles",
         "sparsify.enumerate_triangles",
@@ -378,7 +396,7 @@ def test_bypass_run_enumerates_no_triangles(monkeypatch):
     assert (prep.contracted.graph.n, prep.contracted_triangles) == (888, 15)
     enumerated.clear()
     result = run_prepared(prep, 0)
-    assert result.stats.bypassed and result.certificate is True
+    assert result.found.bypassed and result.certificate is True
     # breaking and the greedy guard read the quotient's cached triangles
     assert enumerated == []
 
@@ -397,13 +415,13 @@ def test_frozen_certificates():
     # projective q=13 and the bypass path on a random-regular graph.
     prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
     sampled = [(seed, run_prepared(prep, seed)) for seed in range(50)]
-    assert not any(r.stats.bypassed for _, r in sampled)
+    assert not any(r.found.bypassed for _, r in sampled)
     assert _certificates_digest(sampled) == (
         "e40ae874daa4538c56e17d6364c4b21cd4727ce8036a8f574e29e8b3d0d5b794"
     )
     prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
     bypass = run_prepared(prep, 0)
-    assert bypass.stats.bypassed
+    assert bypass.found.bypassed
     assert _certificates_digest([(0, bypass)]) == (
         "fde14032c85729b284b379e6fe5b394c86e06bad8aaaa92e8b653e95973b16e2"
     )
