@@ -18,12 +18,18 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import generators, oracle
-from .graph import Graph, edge_line_columns, is_induced_matching, read_edge_list, write_edge_list
+from .graph import (
+    EdgeLineError,
+    EdgeLines,
+    Graph,
+    is_induced_matching,
+    read_edge_list,
+    write_edge_list,
+)
 from .pipeline import (
     EmptyMatchingError,
     InducedMatchingResult,
     PipelineConfig,
-    PreparedPipeline,
     prepare_pipeline,
     run_prepared,
 )
@@ -55,13 +61,14 @@ CSV_HEADER = (
 
 def _stats_row(
     family: str, param: str, seed: int, status: str,
-    prep: PreparedPipeline | None, result: InducedMatchingResult | None,
+    graph: Graph | None, result: InducedMatchingResult | None,
 ) -> str:
-    """One CSV row: n and d are the host's, 0 when preparation failed; the
-    stats columns are blank without a result, whose ``prepared`` is ``prep``."""
-    n, d = (prep.graph.n, prep.graph.degree_profile[1]) if prep is not None else (0, 0)
+    """One CSV row: n and d are the host ``graph``'s, 0 when it was not
+    built; the stats columns are blank without a result."""
+    n, d = (graph.n, graph.degree_profile[1]) if graph is not None else (0, 0)
     if result is None:
         return f"{family},{param},{n},{d},,,,,,,,{seed},{status}"
+    prep = result.prepared
     ratio = "" if result.ratio is None else f"{result.ratio:.6f}"
     return (
         f"{family},{param},{n},{d},{prep.match_size},{prep.contracted_n},"
@@ -122,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         Path(args.out).write_text(edge_lines, encoding="utf-8")
     status = "ok" if result.certificate else "invalid"
     print(edge_lines + CSV_HEADER)
-    print(_stats_row("file", "", args.seed, status, prep, result))
+    print(_stats_row("file", "", args.seed, status, graph, result))
     print(f"# wall_seconds={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK if result.certificate else EXIT_INVALID
 
@@ -161,6 +168,7 @@ def _sweep(
     for param in params:
         ratios = []
         ok = 0
+        graph = None
         try:
             graph_seed = mix64(args.seed, args.family, param, "graph")
             graph = generators.build_graph(
@@ -189,7 +197,7 @@ def _sweep(
                 ok += 1
                 if result.ratio is not None:
                     ratios.append(result.ratio)
-            rows.append(_stats_row(args.family, str(param), seed, status, prep, result))
+            rows.append(_stats_row(args.family, str(param), seed, status, graph, result))
         sweep_ratios.extend(ratios)
         low, mid = (f"{min(ratios):.6f}", f"{statistics.median(ratios):.6f}") if ratios else ("", "")
         summaries.append(
@@ -242,13 +250,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
-    with open(args.certificate, encoding="utf-8") as text:
-        us, vs, bad_lines = edge_line_columns(text)
-    if bad_lines:
-        print(f"line {bad_lines[0]}: expected two integers", file=sys.stderr)
+    try:
+        with open(args.certificate, encoding="utf-8") as text:
+            pairs = list(EdgeLines(text))
+    except EdgeLineError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        valid = is_induced_matching(graph, zip(us, vs))
+        valid = is_induced_matching(graph, pairs)
     except ValueError as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -59,6 +59,11 @@ def _not_an_id(u, v) -> ValueError:
     return ValueError(f"vertex id {v!r} is not an integer")
 
 
+def _out_of_range(what: str, n: int) -> ValueError:
+    """The error for ``what`` (a vertex or an edge) outside ``[0, n)``."""
+    return ValueError(f"{what} out of range for n={n}")
+
+
 def _vertex_ids(ids: Iterable[int], n: int) -> VertexSet:
     """``frozenset(ids)``, checked to hold vertices of an ``n``-vertex
     graph; a frozenset is read as given, not copied. Plain ints are checked
@@ -77,7 +82,7 @@ def _vertex_ids(ids: Iterable[int], n: int) -> VertexSet:
         members = frozenset(converted)
     if members and not (0 <= min(members) and max(members) < n):
         bad = min(x for x in members if not 0 <= x < n)
-        raise ValueError(f"vertex {bad} out of range for n={n}")
+        raise _out_of_range(f"vertex {bad}", n)
     return members
 
 
@@ -86,21 +91,22 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Untrusted
-    pairs enter through :func:`from_edge_list`, which enforces the invariants
-    (no self-loops, symmetric adjacency, no duplicates); :func:`induced_subgraph`,
-    ``contract_matching`` and the projective, polarity and ``random_regular``
-    generators build such rows directly, checked by ``oracle.validate_graph``
-    in tests. Those builders and :func:`read_edge_list` fill the rows from
-    the process-wide id table (:func:`_ids`): one int object per vertex id,
-    shared by every graph, matching and quotient, so a row entry costs a
-    pointer and not a 32-byte int of its own. The table grows under a lock
-    and keeps about 40 bytes per id up to the largest id any graph has
-    named; :func:`from_edge_list` keeps the id objects it is given. Derived
-    facts (``m``, ``degree_profile``, ``triangles`` and the private row
-    masks) are computed on first use and cached on the graph. The masks
-    exist only while ``n**2 <= 128 * m``: past that the masks (``n`` bits
-    a row) would outweigh the rows' pointers (64 bits a neighbor), so the
-    bound is a fact about the graph's size, and nothing sets it.
+    pairs enter through :func:`from_edge_list` and :func:`read_edge_list`,
+    which share one pair loop (:func:`_graph_of_pairs`) that enforces the
+    invariants (no self-loops, symmetric adjacency, no duplicates);
+    :func:`induced_subgraph`, ``contract_matching`` and the projective,
+    polarity and ``random_regular`` generators build such rows directly,
+    checked by ``oracle.validate_graph`` in tests. Every builder fills the
+    rows from the process-wide id table (:func:`_ids`): one int object per
+    vertex id, shared by every graph, matching and quotient, so a row entry
+    costs a pointer and not a 32-byte int of its own. The table grows under
+    a lock and keeps about 40 bytes per id up to the largest id any graph
+    has named. Derived facts (``m``, ``degree_profile``, ``triangles`` and
+    the private row masks) are computed on first use and cached on the
+    graph. The masks exist only while ``n**2 <= 128 * m``: past that the
+    masks (``n`` bits a row) would outweigh the rows' pointers (64 bits a
+    neighbor), so the bound is a fact about the graph's size, and nothing
+    sets it.
     """
 
     n: int
@@ -214,36 +220,51 @@ def _mask_triangles(
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a :class:`Graph` from vertex pairs, read in one pass.
 
-    Duplicate pairs (in either orientation) collapse to one edge. Self-loops,
-    out-of-range endpoints and ids that are not integers (``operator.index``
-    rejects floats and strings) raise ``ValueError``, for the first bad
-    pair in order. Neighbors collect in one list per vertex up to the
-    largest id a pair names, and every vertex past it shares the empty
-    tuple (:func:`_finished_graph`); the rows hold the id objects given.
+    Duplicate pairs (in either orientation) collapse to one edge. Ids that
+    are not integers (``operator.index`` rejects floats and strings),
+    self-loops and out-of-range endpoints raise ``ValueError``, for the
+    first bad pair in order. The graph is built by :func:`_graph_of_pairs`,
+    so the rows hold the id table's objects, not the ones given.
+    """
+    return _graph_of_pairs(n, map(_int_pair, edges))
+
+
+def _int_pair(pair) -> Edge:
+    """``pair`` with both ids through ``operator.index``; an id it rejects
+    raises ``ValueError`` (:func:`_not_an_id`)."""
+    u, v = pair
+    try:
+        return index(u), index(v)
+    except TypeError:
+        raise _not_an_id(u, v) from None
+
+
+def _graph_of_pairs(n: int, pairs: Iterable[Edge]) -> Graph:
+    """The ``n``-vertex graph of the int pairs ``pairs``, read in one pass:
+    the one home of the edge checks, for :func:`from_edge_list` and
+    :func:`read_edge_list`. A negative ``n``, and then the first pair that
+    is a self-loop or names an id outside ``[0, n)``, raise ``ValueError``.
+
+    Neighbors collect in one list per vertex up to the largest id a pair
+    names, as id table objects (:func:`_ids`); each list is then replaced
+    in place by its sorted, deduplicated tuple, so lists and tuples never
+    coexist in full, and every vertex past that id shares the empty tuple.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     rows: list = []
-    for u, v in edges:
-        try:
-            u, v = index(u), index(v)
-        except TypeError:
-            raise _not_an_id(u, v) from None
+    top = -1  # the largest id named so far; rows has top + 1 entries
+    for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u >= len(rows) or v >= len(rows):
-            rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
-        rows[u].append(v)
-        rows[v].append(u)
-    return _finished_graph(n, rows)
-
-
-def _finished_graph(n: int, rows: list) -> Graph:
-    """The ``n``-vertex graph of neighbor lists ``rows``, each replaced in
-    place by its sorted, deduplicated tuple, so lists and tuples never
-    coexist in full; each vertex past ``rows`` shares the empty tuple."""
+            raise _out_of_range(f"edge ({u}, {v})", n)
+        if u > top or v > top:
+            top = max(u, v)
+            rows.extend([] for _ in range(top + 1 - len(rows)))
+            ids = _ids(top + 1)
+        rows[u].append(ids[v])
+        rows[v].append(ids[u])
     for v, row in enumerate(rows):
         rows[v] = tuple(sorted(set(row)))
     # a tuple plus () is that tuple, not a copy
@@ -320,11 +341,7 @@ def canonical_matching(edges: Iterable[tuple[int, int]]) -> Matching:
     ):
         return edges
     seen = set()
-    for u, v in edges:
-        try:
-            u, v = index(u), index(v)
-        except TypeError:
-            raise _not_an_id(u, v) from None
+    for u, v in map(_int_pair, edges):
         if u == v:
             raise ValueError(f"degenerate matching edge ({u}, {v})")
         seen.add(ordered_edge(u, v))
@@ -340,7 +357,7 @@ def _present_edges(g: Graph, matching) -> Matching:
     n, adjacency = g.n, g.adjacency
     for u, v in edges:
         if u < 0 or v >= n:  # canonical: u < v
-            raise ValueError(f"matching edge ({u}, {v}) out of range for n={n}")
+            raise _out_of_range(f"matching edge ({u}, {v})", n)
         if v not in adjacency[u]:
             raise ValueError(f"matching edge ({u}, {v}) not present in graph")
     return edges
@@ -382,29 +399,44 @@ def write_edge_list(g: Graph, target: str | Path | IO[str]) -> None:
             out.write(chunk)
 
 
-def edge_line_columns(
-    lines: Iterable[str], start: int = 1
-) -> tuple[list[int], list[int], list[int]]:
-    """The two int columns of edge lines ``u v``, and the numbers of the
-    lines that are not two integers. Lines are numbered from ``start`` and
-    read as given, one at a time: a file opened with universal newlines
-    ends a line at LF, CRLF or a lone CR, and a form feed or U+2028 is
-    whitespace inside a line. Blank lines are skipped."""
-    us: list[int] = []
-    vs: list[int] = []
-    bad_lines: list[int] = []
-    for lineno, tokens in enumerate(map(str.split, lines), start):
-        if not tokens:
-            continue
+class EdgeLineError(ValueError):
+    """An edge line or certificate line that is not two integers."""
+
+
+class EdgeLines:
+    """The int pairs of edge lines ``u v``, in graph files and certificates.
+    ``lines`` are read one at a time, numbered from ``start``: a file opened
+    with universal newlines ends a line at LF, CRLF or a lone CR, and a
+    form feed or U+2028 is whitespace inside a line. Iterating, once,
+    yields the pair of each nonblank line up to the first that is not two
+    integers, then counts the rest and raises :class:`EdgeLineError`
+    naming that line. ``count`` is then the number of nonblank lines read.
+    """
+
+    def __init__(self, lines: Iterable[str], start: int = 1):
+        self.count = 0
+        self._start = start
+        self._numbered = enumerate(map(str.split, lines), start)
+
+    def __iter__(self) -> Iterator[Edge]:
+        # the lines read less the blank ones, so an edge line adds no count
+        lineno, blank = self._start - 1, 0
         try:
-            u, v = tokens
-            u, v = int(u), int(v)
-        except ValueError:
-            bad_lines.append(lineno)
-            continue
-        us.append(u)
-        vs.append(v)
-    return us, vs, bad_lines
+            for lineno, tokens in self._numbered:
+                if not tokens:
+                    blank += 1
+                    continue
+                try:
+                    u, v = tokens
+                    u, v = int(u), int(v)
+                except ValueError:
+                    bad = lineno
+                    for lineno, tokens in self._numbered:
+                        blank += not tokens
+                    raise EdgeLineError(f"line {bad}: expected two integers") from None
+                yield u, v
+        finally:
+            self.count = lineno + 1 - self._start - blank
 
 
 def read_edge_list(source: str | Path | IO[str]) -> Graph:
@@ -413,23 +445,19 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
     source is iterated as given, so neither the text, a list of its lines
     nor a column of its ids is ever held.
 
-    The header is the first line that is not blank. Checked in order, each
-    naming the original line: the header, the count of edge lines, the
-    first edge line that is not two integers, a negative vertex count, and
-    the first pair that :func:`from_edge_list` rejects (a self-loop or an
-    id outside ``[0, n)``), with its messages. Rows stop growing at the
-    first rejected line; the rest of the file is only counted.
-
-    Rows grow only to the largest id of a valid line
-    (:func:`_finished_graph`), so a huge edgeless header costs one pointer
-    per vertex, and hold the id table's objects (:func:`_ids`), so no
-    parsed int outlives its line.
+    The header is the first line that is not blank; the lines after it
+    go through :class:`EdgeLines` into :func:`_graph_of_pairs`, so the
+    rows grow only to the largest id named (a huge edgeless header costs
+    one pointer per vertex) and hold the id table's objects. Checked in
+    order, each naming the original line: the header, the count of edge
+    lines, the first edge line that is not two integers, a negative vertex
+    count, and the first self-loop or out-of-range pair. Rows stop growing
+    at the first rejected line; the parser only counts the rest.
     """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
-        lines = enumerate(map(str.split, text), 1)
-        for lineno, tokens in lines:
-            if tokens:
+        for lineno, line in enumerate(text, 1):
+            if tokens := line.split():
                 try:
                     n, m = map(int, tokens)  # exactly two tokens
                 except ValueError as exc:
@@ -437,46 +465,22 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
                 break
         else:
             raise ValueError("empty edge-list file")
-        rows: list = []
-        found = 0
-        bad_line = bad_pair = None
-        for lineno, tokens in lines:
-            if not tokens:
-                continue
-            found += 1
-            try:
-                u, v = tokens
-                u, v = int(u), int(v)
-            except ValueError:
-                bad_line = lineno
-                break
-            if u == v:
-                bad_pair = f"self-loop at vertex {u}"
-                break
-            if not (0 <= u < n and 0 <= v < n):
-                bad_pair = f"edge ({u}, {v}) out of range for n={n}"
-                break
-            if u >= len(rows) or v >= len(rows):
-                rows.extend([] for _ in range(max(u, v) + 1 - len(rows)))
-                ids = _ids(len(rows))
-            rows[u].append(ids[v])
-            rows[v].append(ids[u])
-        for lineno, tokens in lines:  # past a rejected line
-            if not tokens:
-                continue
-            found += 1
-            if bad_line is None:
-                try:
-                    u, v = tokens
-                    int(u), int(v)
-                except ValueError:
-                    bad_line = lineno
-    if found != m:
-        raise ValueError(f"expected {m} edge lines, found {found}")
-    if bad_line is not None:
-        raise ValueError(f"line {bad_line}: expected two integers")
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if bad_pair is not None:
-        raise ValueError(bad_pair)
-    return _finished_graph(n, rows)
+        lines = EdgeLines(text, lineno + 1)
+        pairs = iter(lines)
+        rejected = None
+        try:
+            graph = _graph_of_pairs(n, pairs)
+        except UnicodeDecodeError:  # text that is not UTF-8 fails at once
+            raise
+        except ValueError as exc:  # a bad line, a negative n or a bad pair
+            rejected = str(exc)
+        try:
+            for _ in pairs:  # the lines past a rejected pair, counted
+                pass
+        except EdgeLineError as exc:  # a bad line outranks the other two
+            rejected = str(exc)
+    if lines.count != m:
+        raise ValueError(f"expected {m} edge lines, found {lines.count}")
+    if rejected is not None:
+        raise ValueError(rejected)
+    return graph

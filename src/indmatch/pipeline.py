@@ -11,7 +11,7 @@ split is exposed so sweeps over seeds can reuse the deterministic part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import Graph, Matching, enumerate_triangles, is_induced_matching
@@ -135,12 +135,13 @@ class PreparedPipeline:
 class InducedMatchingResult:
     """One seeded run: the pulled-back ``matching``, its ``certificate``,
     and what it was built from, held and not copied: the ``prepared``
-    pipeline and the independent set ``found`` on its contraction."""
+    pipeline and the independent set ``found`` on its contraction; the
+    repr names the matching and the certificate only."""
 
     matching: Matching
     certificate: bool
-    prepared: PreparedPipeline
-    found: IndependentSetResult
+    prepared: PreparedPipeline = field(repr=False)
+    found: IndependentSetResult = field(repr=False)
 
     @property
     def size(self) -> int:

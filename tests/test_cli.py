@@ -85,7 +85,9 @@ def test_zero_vertices_is_an_empty_matching(tmp_path):
     )
     assert code == 0, err
     rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#") and l != CSV_HEADER]
-    assert [row[:4] for row in rows] == [["random-regular", q, "0", "0"] for q in "04"]
+    # n and d are the built graph's, though preparing it failed: the q=4
+    # row reads 4,4,0 (it read 4,0,0 while a failed preparation zeroed them)
+    assert [row[:4] for row in rows] == [["random-regular", q, q, "0"] for q in "04"]
     # blank stats columns, from match_size through ratio_ln
     assert [(row[4:11], row[-1]) for row in rows] == [([""] * 7, "empty-matching")] * 2
 
@@ -396,6 +398,9 @@ def test_each_failure_is_a_status_and_exit_3(status, tmp_path, monkeypatch):
         if row[-1] != "ok":
             # blank stats columns, from match_size through ratio_ln
             assert row[4:11] == [""] * 7, row
+    # n and d are the host's whenever it was built, though preparing failed
+    host = {"retries": "26,4", "triangle-budget": "114,8", "empty-matching": "4,0"}
+    assert {",".join(row[2:4]) for row in rows} == {host.get(status, "0,0")}
     assert f" ok={statuses.count('ok')} " in out
 
     paths = {"out": tmp_path / "out.txt"}
@@ -451,6 +456,9 @@ def test_run_retries_exhausted_emits_attempt_stats(tmp_path):
 # errors (exit 2), each with the substring its message must contain.
 BAD_GRAPHS = {
     "non-utf8": (b"3 1\n0 \xff\n", "utf-8"),
+    # past the first 8 KiB, so the byte is decoded while the edge lines
+    # are parsed, not with the header
+    "non-utf8-late": (b"3 3000\n" + b"0 1\n" * 2999 + b"0 \xff\n", "utf-8"),
     "bad-header": (b"3 x\n0 1\n", "line 1: expected header"),
     "too-many-edges": (b"3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
     "too-few-edges": (b"3 2\n0 1\n", "expected 2 edge lines, found 1"),
@@ -484,6 +492,7 @@ MALFORMED = {
     },
     "verify-three-tokens": (["verify", "{c6}", "{three}"], 2, "line 2:", "two integers"),
     "verify-formfeed": (["verify", "{c6}", "{formfeed}"], 2, "line 1:", "two integers"),
+    "verify-non-utf8-certificate": (["verify", "{c6}", "{non-utf8}"], 2, "error:", "utf-8"),
     "verify-negative-id": (
         ["verify", "{c6}", "{negative}"], 1, "invalid certificate:", "out of range"
     ),

@@ -27,6 +27,8 @@ from indmatch import (
     write_edge_list,
 )
 from indmatch.graph import (
+    EdgeLineError,
+    EdgeLines,
     Graph,
     _ids,
     _induce_by_masks,
@@ -35,7 +37,6 @@ from indmatch.graph import (
     _masks_of,
     _set_triangles,
     canonical_matching,
-    edge_line_columns,
 )
 from indmatch.oracle import (
     canonical_matching_bf,
@@ -226,6 +227,9 @@ SHARED_ID_BUILDERS = {
     "polarity-31": lambda: polarity_graph(31),
     "random-regular": lambda: random_regular(2000, 4, 1),
     "read-edge-list": lambda: _reread(random_regular(2000, 4, 1)),
+    "from-edge-list": lambda: from_edge_list(
+        2000, [(int(str(u)), int(str(v))) for u, v in random_regular(2000, 4, 1).edges()]
+    ),
     "quotient": lambda: _quotient(random_regular(2000, 4, 1)),
     "induced-by-sets": lambda: _induced(random_regular(2000, 4, 1), range(0, 2000, 2), False),
     "induced-by-masks": lambda: _induced(polarity_graph(31), range(0, 993, 2), True),
@@ -547,10 +551,25 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("-1 1\n0 1\n"))
 
 
-def test_edge_line_columns_numbers_every_line():
+def _parsed(lines, start=1):
+    """``(pairs, count, error)`` of :class:`EdgeLines` over ``lines``."""
+    parser = EdgeLines(lines, start)
+    pairs = []
+    try:
+        pairs.extend(parser)
+    except EdgeLineError as exc:
+        return pairs, parser.count, str(exc)
+    return pairs, parser.count, None
+
+
+def test_edge_lines_stop_at_the_first_bad_line_and_count_every_line():
     lines = ["0 1\n", "\n", "2 x\n", "3 4 5\n", "-1 7\n", "0 1\x0c3 4\n"]
-    assert edge_line_columns(lines) == ([0, -1], [1, 7], [3, 4, 6])
-    assert edge_line_columns(lines, 10) == ([0, -1], [1, 7], [12, 13, 15])
+    bad = "line {}: expected two integers"
+    assert _parsed(lines) == ([(0, 1)], 5, bad.format(3))
+    assert _parsed(lines, 10) == ([(0, 1)], 5, bad.format(12))
+    # a form feed inside a line is whitespace: four tokens, not two lines
+    assert _parsed(lines[4:]) == ([(-1, 7)], 2, bad.format(2))
+    assert _parsed(["0\x0c1\n", "\n", "-1 7\n"]) == ([(0, 1), (-1, 7)], 2, None)
 
 
 def test_edge_list_reader_accepts_crlf_and_blank_lines():

@@ -88,6 +88,13 @@ def test_the_result_holds_what_it_was_built_from():
     assert induced_matching(named_fixture("complete-2")).ratio is None
 
 
+def test_the_result_repr_names_the_matching_and_certificate_only():
+    r = induced_matching(projective_incidence_graph(13), seed=1)
+    assert repr(r) == (
+        f"InducedMatchingResult(matching={r.matching!r}, certificate={r.certificate!r})"
+    )
+
+
 def test_triangle_budget_examples():
     assert triangle_budget(100, 10, 1.0) == pytest.approx(1000.0)
     assert triangle_budget(50, 1, 2.0) == pytest.approx(50.0)
