@@ -49,14 +49,15 @@ def _ids(n: int) -> list[int]:
     return _ID_TABLE
 
 
-def _not_an_id(u, v) -> ValueError:
-    """The error naming ``u``, or else ``v``, as an id that
-    ``operator.index`` rejects."""
-    try:
-        index(u)
-    except TypeError:
-        return ValueError(f"vertex id {u!r} is not an integer")
-    return ValueError(f"vertex id {v!r} is not an integer")
+def _not_an_id(*ids) -> ValueError:
+    """The error naming the first of ``ids`` that ``operator.index``
+    rejects; called once it has rejected one."""
+    for x in ids:
+        try:
+            index(x)
+        except TypeError:
+            break
+    return ValueError(f"vertex id {x!r} is not an integer")
 
 
 def _out_of_range(what: str, n: int) -> ValueError:
@@ -68,18 +69,16 @@ def _vertex_ids(ids: Iterable[int], n: int) -> VertexSet:
     """``frozenset(ids)``, checked to hold vertices of an ``n``-vertex
     graph; a frozenset is read as given, not copied. Plain ints are checked
     by C-level passes (one over their types, one ``min``, one ``max``), and
-    only other ids go through ``operator.index`` one by one. An id that
-    ``operator.index`` rejects raises ``ValueError``, and so does an id
-    outside ``[0, n)``: the error names the smallest such id."""
+    only other ids go through ``operator.index``, in one ``map``. An id
+    that ``operator.index`` rejects raises ``ValueError`` naming it
+    (:func:`_not_an_id`), and so does an id outside ``[0, n)``: the error
+    names the smallest such id."""
     members = frozenset(ids)
     if not set(map(type, members)) <= {int}:
-        converted = []
-        for x in members:
-            try:
-                converted.append(index(x))
-            except TypeError:
-                raise ValueError(f"vertex id {x!r} is not an integer") from None
-        members = frozenset(converted)
+        try:
+            members = frozenset(map(index, members))
+        except TypeError:
+            raise _not_an_id(*members) from None
     if members and not (0 <= min(members) and max(members) < n):
         bad = min(x for x in members if not 0 <= x < n)
         raise _out_of_range(f"vertex {bad}", n)
@@ -408,9 +407,10 @@ class EdgeLines:
     ``lines`` are read one at a time, numbered from ``start``: a file opened
     with universal newlines ends a line at LF, CRLF or a lone CR, and a
     form feed or U+2028 is whitespace inside a line. Iterating, once,
-    yields the pair of each nonblank line up to the first that is not two
-    integers, then counts the rest and raises :class:`EdgeLineError`
-    naming that line. ``count`` is then the number of nonblank lines read.
+    yields the pair of each nonblank line; the first line that is not two
+    integers raises :class:`EdgeLineError` naming it, and no line past it
+    is read. Once every line has been parsed, ``count`` is the number of
+    nonblank lines.
     """
 
     def __init__(self, lines: Iterable[str], start: int = 1):
@@ -421,22 +421,17 @@ class EdgeLines:
     def __iter__(self) -> Iterator[Edge]:
         # the lines read less the blank ones, so an edge line adds no count
         lineno, blank = self._start - 1, 0
-        try:
-            for lineno, tokens in self._numbered:
-                if not tokens:
-                    blank += 1
-                    continue
-                try:
-                    u, v = tokens
-                    u, v = int(u), int(v)
-                except ValueError:
-                    bad = lineno
-                    for lineno, tokens in self._numbered:
-                        blank += not tokens
-                    raise EdgeLineError(f"line {bad}: expected two integers") from None
-                yield u, v
-        finally:
-            self.count = lineno + 1 - self._start - blank
+        for lineno, tokens in self._numbered:
+            if not tokens:
+                blank += 1
+                continue
+            try:
+                u, v = tokens
+                u, v = int(u), int(v)
+            except ValueError:
+                raise EdgeLineError(f"line {lineno}: expected two integers") from None
+            yield u, v
+        self.count = lineno + 1 - self._start - blank
 
 
 def read_edge_list(source: str | Path | IO[str]) -> Graph:
@@ -448,11 +443,11 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
     The header is the first line that is not blank; the lines after it
     go through :class:`EdgeLines` into :func:`_graph_of_pairs`, so the
     rows grow only to the largest id named (a huge edgeless header costs
-    one pointer per vertex) and hold the id table's objects. Checked in
-    order, each naming the original line: the header, the count of edge
-    lines, the first edge line that is not two integers, a negative vertex
-    count, and the first self-loop or out-of-range pair. Rows stop growing
-    at the first rejected line; the parser only counts the rest.
+    one pointer per vertex) and hold the id table's objects. The first
+    fault in file order wins, and no line past it is read: the header, a
+    negative vertex count, then in file order the first edge line that is
+    not two integers or the first self-loop or out-of-range pair, each
+    naming the original line or pair; last, the count of edge lines.
     """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:
@@ -466,21 +461,7 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
         else:
             raise ValueError("empty edge-list file")
         lines = EdgeLines(text, lineno + 1)
-        pairs = iter(lines)
-        rejected = None
-        try:
-            graph = _graph_of_pairs(n, pairs)
-        except UnicodeDecodeError:  # text that is not UTF-8 fails at once
-            raise
-        except ValueError as exc:  # a bad line, a negative n or a bad pair
-            rejected = str(exc)
-        try:
-            for _ in pairs:  # the lines past a rejected pair, counted
-                pass
-        except EdgeLineError as exc:  # a bad line outranks the other two
-            rejected = str(exc)
+        graph = _graph_of_pairs(n, lines)
     if lines.count != m:
         raise ValueError(f"expected {m} edge lines, found {lines.count}")
-    if rejected is not None:
-        raise ValueError(rejected)
     return graph

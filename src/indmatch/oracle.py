@@ -213,17 +213,16 @@ def from_edge_list_bf(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
     """Whole-text twin of :func:`indmatch.graph.read_edge_list`: reads the
-    text at once (``read_text`` on a path), splits it at each LF, parses
-    every line into two id columns and builds the graph from their pairs
-    with :func:`from_edge_list_bf`. Same checks in the same order, with the
-    same messages."""
+    text at once (``read_text`` on a path), splits it at each LF, and
+    builds the graph with :func:`from_edge_list_bf` from a lazy parse of
+    the nonblank lines after the header, so the checks run in file order.
+    The first fault wins, with the same messages: the header, a negative
+    vertex count, the first edge line that is not two integers or the
+    first bad pair, and last the count of edge lines."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    us: list[int] = []
-    vs: list[int] = []
-    bad_lines: list[int] = []  # edge lines that are not two integers
     lines = enumerate(map(str.split, text.split("\n")), 1)
     for lineno, tokens in lines:
         if tokens:
@@ -234,23 +233,21 @@ def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
             break
     else:
         raise ValueError("empty edge-list file")
-    for lineno, tokens in lines:
-        if not tokens:
-            continue
-        try:
-            u, v = tokens
-            u, v = int(u), int(v)
-        except ValueError:
-            bad_lines.append(lineno)
-            continue
-        us.append(u)
-        vs.append(v)
-    found = len(us) + len(bad_lines)
-    if found != m:
-        raise ValueError(f"expected {m} edge lines, found {found}")
-    if bad_lines:
-        raise ValueError(f"line {bad_lines[0]}: expected two integers")
-    return from_edge_list_bf(n, zip(us, vs))
+    edge_lines = [(lineno, tokens) for lineno, tokens in lines if tokens]
+
+    def pairs():
+        for lineno, tokens in edge_lines:
+            try:
+                u, v = tokens
+                u, v = int(u), int(v)
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected two integers") from None
+            yield u, v
+
+    g = from_edge_list_bf(n, pairs())
+    if len(edge_lines) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(edge_lines)}")
+    return g
 
 
 def canonical_matching_bf(edges: Iterable[tuple[int, int]]) -> Matching:

@@ -532,11 +532,12 @@ def test_edge_list_reader_rejects_malformed():
     # a lone carriage return does not end a line
     with pytest.raises(ValueError, match="line 1: expected header"):
         read_edge_list(io.StringIO("3 1\r0 1\n"))
-    # the line count is checked before any edge line, and every edge line
-    # is parsed before any pair is checked for self-loops and range
-    with pytest.raises(ValueError, match="expected 3 edge lines, found 2"):
+    # the first fault in file order wins: a bad line, a bad pair or a
+    # negative n outranks the count of edge lines, and the line before
+    # wins over the line after
+    with pytest.raises(ValueError, match="line 2: expected two integers"):
         read_edge_list(io.StringIO("3 3\n0 x\n1 1\n"))
-    with pytest.raises(ValueError, match="line 3: expected two integers"):
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
         read_edge_list(io.StringIO("3 2\n1 1\n0 x\n"))
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         read_edge_list(io.StringIO("3 2\n1 1\n0 5\n"))
@@ -549,27 +550,60 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("3 1\n-3 2\n"))
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         read_edge_list(io.StringIO("-1 1\n0 1\n"))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        read_edge_list(io.StringIO("-1 1\n0 x\n"))
+
+
+def _lines_up_to(text, last):
+    """The lines of ``text``, one at a time, failing the test if pulled
+    past line ``last``."""
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+        assert lineno <= last, f"line {lineno} read past the fault on line {last}"
+        yield line
+
+
+@pytest.mark.parametrize(
+    "text, last, message",
+    [
+        ("3 4\n0 1\n\n0 x\n1 2\n", 4, "line 4: expected two integers"),
+        ("3 4\n0 1\n2 2\n0 x\n", 3, "self-loop at vertex 2"),
+        ("3 4\n0 1\n0 9\n0 x\n", 3, r"edge \(0, 9\) out of range for n=3"),
+        ("\n-1 4\n0 x\n", 2, "vertex count must be nonnegative, got -1"),
+    ],
+    ids=["bad-line", "self-loop", "out-of-range", "negative-n"],
+)
+def test_edge_list_reader_reads_no_line_past_the_first_fault(text, last, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_edge_list(_lines_up_to(text, last))
 
 
 def _parsed(lines, start=1):
-    """``(pairs, count, error)`` of :class:`EdgeLines` over ``lines``."""
-    parser = EdgeLines(lines, start)
+    """``(pairs, error)`` of :class:`EdgeLines` over ``lines``: the pairs
+    yielded before the error, if any."""
     pairs = []
     try:
-        pairs.extend(parser)
+        pairs.extend(EdgeLines(lines, start))
     except EdgeLineError as exc:
-        return pairs, parser.count, str(exc)
-    return pairs, parser.count, None
+        return pairs, str(exc)
+    return pairs, None
 
 
-def test_edge_lines_stop_at_the_first_bad_line_and_count_every_line():
+def test_edge_lines_stop_at_the_first_bad_line():
     lines = ["0 1\n", "\n", "2 x\n", "3 4 5\n", "-1 7\n", "0 1\x0c3 4\n"]
     bad = "line {}: expected two integers"
-    assert _parsed(lines) == ([(0, 1)], 5, bad.format(3))
-    assert _parsed(lines, 10) == ([(0, 1)], 5, bad.format(12))
+    assert _parsed(lines) == ([(0, 1)], bad.format(3))
+    assert _parsed(lines, 10) == ([(0, 1)], bad.format(12))
     # a form feed inside a line is whitespace: four tokens, not two lines
-    assert _parsed(lines[4:]) == ([(-1, 7)], 2, bad.format(2))
-    assert _parsed(["0\x0c1\n", "\n", "-1 7\n"]) == ([(0, 1), (-1, 7)], 2, None)
+    assert _parsed(lines[4:]) == ([(-1, 7)], bad.format(2))
+    # count is the number of nonblank lines, set once every line is parsed
+    for valid, start, pairs in (
+        (lines[:2], 1, [(0, 1)]),
+        (lines[:2], 10, [(0, 1)]),
+        (["0\x0c1\n", "\n", "-1 7\n"], 1, [(0, 1), (-1, 7)]),
+        (["\n"], 1, []),
+    ):
+        parser = EdgeLines(valid, start)
+        assert (list(parser), parser.count) == (pairs, len(pairs))
 
 
 def test_edge_list_reader_accepts_crlf_and_blank_lines():
