@@ -11,6 +11,7 @@ is a mask over the unchanged graph.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -241,8 +242,9 @@ def _int_pair(pair) -> Edge:
 def _graph_of_pairs(n: int, pairs: Iterable[Edge]) -> Graph:
     """The ``n``-vertex graph of the int pairs ``pairs``, read in one pass:
     the one home of the edge checks, for :func:`from_edge_list` and
-    :func:`read_edge_list`. A negative ``n``, and then the first pair that
-    is a self-loop or names an id outside ``[0, n)``, raise ``ValueError``.
+    :func:`read_edge_list`. A negative ``n``, an ``n`` past ``sys.maxsize``
+    (no tuple has that many rows), and then the first pair that is a
+    self-loop or names an id outside ``[0, n)``, raise ``ValueError``.
 
     Neighbors collect in one list per vertex up to the largest id a pair
     names, as id table objects (:func:`_ids`); each list is then replaced
@@ -251,6 +253,8 @@ def _graph_of_pairs(n: int, pairs: Iterable[Edge]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
     rows: list = []
     top = -1  # the largest id named so far; rows has top + 1 entries
     for u, v in pairs:
@@ -445,9 +449,10 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
     rows grow only to the largest id named (a huge edgeless header costs
     one pointer per vertex) and hold the id table's objects. The first
     fault in file order wins, and no line past it is read: the header, a
-    negative vertex count, then in file order the first edge line that is
-    not two integers or the first self-loop or out-of-range pair, each
-    naming the original line or pair; last, the count of edge lines.
+    vertex count that is negative or past ``sys.maxsize``, then in file
+    order the first edge line that is not two integers or the first
+    self-loop or out-of-range pair, each naming the original line or
+    pair; last, the count of edge lines.
     """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if opened else nullcontext(source) as text:

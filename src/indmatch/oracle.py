@@ -8,6 +8,7 @@ exponential blowups from hanging a test run; callers may override them.
 from __future__ import annotations
 
 import random
+import sys
 from collections import defaultdict
 from itertools import combinations
 from operator import index
@@ -196,6 +197,8 @@ def from_edge_list_bf(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     the same checks in the same order and the same messages."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         try:
@@ -216,9 +219,10 @@ def read_edge_list_bf(source: str | Path | IO[str]) -> Graph:
     text at once (``read_text`` on a path), splits it at each LF, and
     builds the graph with :func:`from_edge_list_bf` from a lazy parse of
     the nonblank lines after the header, so the checks run in file order.
-    The first fault wins, with the same messages: the header, a negative
-    vertex count, the first edge line that is not two integers or the
-    first bad pair, and last the count of edge lines."""
+    The first fault wins, with the same messages: the header, a vertex
+    count that is negative or past ``sys.maxsize``, the first edge line
+    that is not two integers or the first bad pair, and last the count of
+    edge lines."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:

@@ -54,10 +54,13 @@ class PipelineConfig:
     not detected, only used to derive the triangle-budget exponent
     ``epsilon = 1 / (2B)`` when ``epsilon`` is not given explicitly. The
     global triangle budget does not detect a denser input at that
-    exponent: a quotient of max degree d has at most ``n*d*(d-1)/6``
-    triangles against a budget of ``n * d**(2 - epsilon)``, so it can fire
+    exponent: each of the quotient's m edges lies in at most d - 1
+    triangles, so it has at most ``m*(d-1)/3 <= n*d*(d-1)/6`` of them
+    against a budget of ``n * d**(2 - epsilon)``, and the check can fire
     only when ``d**epsilon > 6``, that is ``d > 6**(2B)`` (1296 at B=2).
-    A per-vertex check that can fire is ROADMAP's "hypothesis check" item.
+    ``PreparedPipeline`` lists the triangles only when that bound does not
+    clear the budget. A per-vertex check that can fire is ROADMAP's
+    "hypothesis check" item.
 
     A graph of max codegree t is K_{2,t+1}-free, so by Kővári–Sós–Turán
     B=2 claims for it the s=2 exponent with a t-dependent constant. The
@@ -87,8 +90,11 @@ class PreparedPipeline:
     Building one, also by ``dataclasses.replace``, runs the run's only
     triangle budget check.
 
-    The contraction's graph caches its triangles, enumerated once here, so a
-    sweep over seeds pays for the enumeration once.
+    The check lists the contraction's triangles only when the degree
+    bound ``m * (d - 1) // 3`` exceeds the budget, since each edge lies in
+    at most d - 1 triangles. Otherwise the graph lists them, once, when
+    first asked: by the low-degree path's first seed, or by a read of
+    ``contracted_triangles``; the sampled path never asks.
     """
 
     graph: Graph
@@ -96,9 +102,12 @@ class PreparedPipeline:
     contracted: ContractedGraph
 
     def __post_init__(self):
-        measured = len(enumerate_triangles(self.contracted.graph))
-        if measured > self.budget:
-            raise TriangleBudgetExceeded(measured, self.budget)
+        q = self.contracted.graph
+        bound = q.m * (self.contracted_max_degree - 1) // 3
+        if bound > self.budget:
+            measured = len(enumerate_triangles(q))
+            if measured > self.budget:
+                raise TriangleBudgetExceeded(measured, self.budget)
 
     @property
     def matching(self) -> Matching:

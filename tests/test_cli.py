@@ -464,6 +464,8 @@ BAD_GRAPHS = {
     "too-few-edges": (b"3 2\n0 1\n", "expected 2 edge lines, found 1"),
     "self-loop": (b"3 1\n1 1\n", "self-loop"),
     "out-of-range": (b"3 1\n0 7\n", "out of range"),
+    # no tuple has more than sys.maxsize rows
+    "past-maxsize": (b"100000000000000000000 0\n", "vertex count must be at most"),
     "missing-file": (None, "absent.txt"),
 }
 
@@ -543,6 +545,11 @@ MALFORMED = {
     "generate-unknown-fixture": (
         ["generate", "--family", "fixture", "--name", "bogus", "--out", "{out}"],
         2, "error:", "bogus",
+    ),
+    "generate-fixture-past-maxsize": (
+        ["generate", "--family", "fixture", "--name", "edgeless-100000000000000000000",
+         "--out", "{out}"],
+        2, "error:", "vertex count must be at most",
     ),
     "generate-unwritable-out": (
         ["generate", "--family", "fixture", "--name", "petersen", "--out", "{nodir}"],

@@ -554,6 +554,24 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("-1 1\n0 x\n"))
 
 
+def test_a_vertex_count_past_maxsize_is_rejected_not_overflowed():
+    # no tuple has more than sys.maxsize rows, so a larger header is a
+    # ValueError from every builder and reader, not an OverflowError
+    for n in (sys.maxsize + 1, 10**20):
+        message = f"^vertex count must be at most {sys.maxsize}, got {n}$"
+        for build in (from_edge_list, from_edge_list_bf):
+            with pytest.raises(ValueError, match=message):
+                build(n, [])
+            with pytest.raises(ValueError, match=message):
+                build(n, [(0, 1)])
+        for read in (read_edge_list, read_edge_list_bf):
+            with pytest.raises(ValueError, match=message):
+                read(io.StringIO(f"{n} 1\n0 x\n"))
+    # at sys.maxsize the rows are refused by the allocator, before any is made
+    with pytest.raises(MemoryError):
+        from_edge_list(sys.maxsize, [])
+
+
 def _lines_up_to(text, last):
     """The lines of ``text``, one at a time, failing the test if pulled
     past line ``last``."""

@@ -7,6 +7,7 @@ from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indmatch import (
     AttemptStats,
@@ -31,7 +32,7 @@ from indmatch import (
 )
 from indmatch import pipeline, sparsify
 from indmatch.graph import _ids, induced_subgraph
-from indmatch.oracle import max_induced_matching_bf
+from indmatch.oracle import count_triangles_bf, max_induced_matching_bf
 from indmatch.pipeline import PIPELINE_RATIO_FLOOR
 from indmatch.seeds import mix64
 from indmatch.sparsify import (
@@ -117,6 +118,35 @@ def test_prepare_triangle_budget_error():
         prepare_pipeline(k8, PipelineConfig(epsilon=2.9))
     assert err.value.measured == 4
     assert err.value.budget == pytest.approx(1.488, abs=1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.floats(0, 3, exclude_min=True, exclude_max=True))
+# the default epsilon on proj-7: 1664 <= 5674.3, so nothing is listed
+@example(projective_incidence_graph(7), 0.25)
+# epsilon 1 on proj-7: 1664 > 784 is listed, and its 96 triangles pass
+@example(projective_incidence_graph(7), 1.0)
+# K8 contracts to K4: 4 > 1.488 is listed, and its 4 triangles fail
+@example(named_fixture("complete-8"), 2.9)
+def test_budget_check_lists_triangles_only_when_the_degree_bound_fails(g, epsilon):
+    # irregular graphs included; the contraction does not read the config
+    if g.degree_profile[1] == 0:
+        return
+    q = prepare_pipeline(g, PipelineConfig()).contracted.graph
+    count = count_triangles_bf(q)
+    _, dmax, _ = q.degree_profile
+    bound = q.m * (dmax - 1) // 3
+    assert bound >= count
+    budget = triangle_budget(q.n, dmax, epsilon)
+    try:
+        prep = prepare_pipeline(g, PipelineConfig(epsilon=epsilon))
+    except TriangleBudgetExceeded as exc:
+        assert count > budget
+        assert (exc.measured, exc.budget) == (count, budget)
+    else:
+        assert count <= budget
+        # the cached listing exists only when the bound did not clear
+        assert ("triangles" in vars(prep.contracted.graph)) == (bound > budget)
 
 
 def test_empty_matching_error():
@@ -301,9 +331,7 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     monkeypatch.setattr(Graph.triangles, "func", counting)
     prep = prepare_pipeline(projective_incidence_graph(13), PipelineConfig())
     quotient_n = prep.contracted.graph.n
-    assert sizes == [quotient_n]  # once, in the deterministic stage
-    assert prep.contracted_triangles == len(prep.contracted.graph.triangles) > 0
-    sizes.clear()
+    assert sizes == []  # the degree bound clears the budget: nothing listed
     found = []  # sparsify results, for the per-attempt triangle counts
 
     def recording(*args, _original=pipeline.sparsify_independent_set, **kwargs):
@@ -317,6 +345,10 @@ def test_seeded_runs_reuse_the_quotient_triangles(monkeypatch):
     # greedy pass's guard read that cache. Never the quotient.
     assert len(sizes) == sum(f.attempts for f in found)
     assert quotient_n not in sizes
+    sizes.clear()
+    # the first read of the count lists the quotient, once
+    assert prep.contracted_triangles == len(prep.contracted.graph.triangles) == 600
+    assert sizes == [quotient_n]
 
 
 @settings(max_examples=150, deadline=None)
@@ -374,8 +406,11 @@ def test_tracer_patch_points_see_every_call(monkeypatch):
             return _fn(g, *args)
 
         monkeypatch.setattr(module, name, counting)
-    prep = prepare_pipeline(projective_incidence_graph(7), PipelineConfig(degree_cutoff=0))
-    quotient_n = prep.contracted.graph.n
+    g = projective_incidence_graph(7)
+    prep = prepare_pipeline(g, PipelineConfig(degree_cutoff=0))
+    assert calls == {}  # the degree bound clears the default budget
+    # at epsilon 1 it does not, so the budget check lists the quotient
+    quotient_n = prepare_pipeline(g, PipelineConfig(epsilon=1.0)).contracted.graph.n
     assert calls == {"pipeline.enumerate_triangles": [quotient_n]}
     calls.clear()
     result = run_prepared(prep, 0)
@@ -406,7 +441,11 @@ def test_bypass_run_enumerates_no_triangles(monkeypatch):
     assert result.found.bypassed and result.certificate is True
     # breaking and the greedy guard read the quotient's cached triangles
     assert enumerated == []
-
+    # an unread quotient is listed once, by the first seed's breaking
+    prep = prepare_pipeline(random_regular(2000, 4, 1), PipelineConfig())
+    assert enumerated == []  # the degree bound clears the budget
+    assert all(run_prepared(prep, seed).found.bypassed for seed in range(3))
+    assert len(enumerated) == 1 and enumerated[0] is prep.contracted.graph
 
 
 def _certificates_digest(results) -> str:
